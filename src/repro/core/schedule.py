@@ -16,11 +16,13 @@ input size (§4.3, hardware-centric schedule space).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from functools import cache
+from operator import attrgetter
 
 from ..gpusim.device import DeviceSpec, RTX3090
 
-__all__ = ['MatmulSchedule', 'ReduceSchedule']
+__all__ = ['MatmulSchedule', 'ReduceSchedule', 'schedule_fields']
 
 
 @dataclass(frozen=True)
@@ -124,3 +126,18 @@ class ReduceSchedule:
                 and self.block_size % 32 == 0
                 and (self.block_size & (self.block_size - 1)) == 0  # power of two tree
                 and self.items_per_thread >= 1)
+
+
+@cache
+def _field_getter(cls: type) -> attrgetter:
+    # every schedule class has several fields, so the getter returns a tuple
+    return attrgetter(*(f.name for f in fields(cls)))
+
+
+def schedule_fields(schedule: MatmulSchedule | ReduceSchedule) -> tuple:
+    """The schedule's field values in declaration order.
+
+    Equal to ``dataclasses.astuple`` for these flat dataclasses (scalars and
+    tuples of ints), without its recursive deep copy.
+    """
+    return _field_getter(type(schedule))(schedule)

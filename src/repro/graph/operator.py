@@ -66,7 +66,7 @@ class Operator:
                 f'match inferred shape {self.output.shape}')
         return task
 
-    @property
+    @cached_property
     def is_injective(self) -> bool:
         return self.task.is_injective
 

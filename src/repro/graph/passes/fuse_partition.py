@@ -54,11 +54,13 @@ class FusedGroup:
         Prologue outputs are inlined and do not appear; epilogue side inputs
         and non-fused anchor inputs do.
         """
-        internal = {op.output._id for op in self.members}
+        members = self.members
+        skip = {op.output._id for op in members}    # internal, then seen
         seen: list[Tensor] = []
-        for op in self.members:
+        for op in members:
             for t in op.inputs:
-                if t._id not in internal and all(t is not s for s in seen):
+                if t._id not in skip:
+                    skip.add(t._id)
                     seen.append(t)
         return seen
 
@@ -80,12 +82,13 @@ def partition_graph(graph: FlowGraph) -> list[FusedGroup]:
     placed: dict[int, FusedGroup] = {}   # anchor/epilogue ownership (exclusive)
     output_ids = {t._id for t in graph.outputs}
     topo_index = {id(op): i for i, op in enumerate(graph.nodes)}
+    readers = _readers(graph)
     groups: list[FusedGroup] = []
 
     def absorb_epilogues(group: FusedGroup) -> None:
         current = group.anchor.output
         while current._id not in output_ids:
-            consumers = graph.consumers(current)
+            consumers = readers.get(current._id, ())
             if len(consumers) != 1:
                 break
             consumer = consumers[0]
@@ -134,24 +137,33 @@ def partition_graph(graph: FlowGraph) -> list[FusedGroup]:
         absorb_prologues(group)
 
     # -- phase 3: materialize injective ops someone still reads -------------
-    def materialized_ids() -> set[int]:
-        needed = set(output_ids)
-        for g in groups:
-            needed.update(t._id for t in g.input_tensors())
-        return needed
-
+    materialized = set(output_ids)
+    for group in groups:
+        materialized.update(t._id for t in group.input_tensors())
     unplaced = [op for op in graph.nodes if id(op) not in placed]
     for op in sorted(unplaced, key=lambda o: -topo_index[id(o)]):   # reverse topo
         if id(op) in placed:
             continue
-        if op.output._id not in materialized_ids():
+        if op.output._id not in materialized:
             continue
         group = FusedGroup(anchor=op)
         placed[id(op)] = group
         absorb_prologues(group)
         groups.append(group)
+        materialized.update(t._id for t in group.input_tensors())
 
     return _topological_groups(groups, placed)
+
+
+def _readers(graph: FlowGraph) -> dict[int, list[Operator]]:
+    """Tensor id -> the operators reading it, each once, in topo order."""
+    readers: dict[int, list[Operator]] = {}
+    for op in graph.nodes:
+        for t in op.inputs:
+            ops = readers.setdefault(t._id, [])
+            if not ops or ops[-1] is not op:
+                ops.append(op)
+    return readers
 
 
 def _topological_groups(groups: list[FusedGroup],

@@ -69,10 +69,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import astuple, dataclass, fields
+from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
-from ..core.schedule import MatmulSchedule, ReduceSchedule
+from ..core.schedule import MatmulSchedule, ReduceSchedule, schedule_fields
 from ..gpusim.device import DeviceSpec, device_family_key
 from ..ir.compute import GridCompute, ReduceCompute, TensorInput
 from ..ir.expr import (BinaryExpr, BlockIndex, Call, Cast, Constant, Expr,
@@ -174,7 +175,7 @@ def space_fingerprint(space: Sequence[MatmulSchedule]) -> str:
     Executors restricted to a sub-space (e.g. ``double_buffer=False``
     ablations) must not consume schedules tuned over the full space.
     """
-    payload = tuple(astuple(s) for s in space)
+    payload = tuple(schedule_fields(s) for s in space)
     return hashlib.sha256(repr(payload).encode('utf-8')).hexdigest()[:16]
 
 
@@ -266,7 +267,7 @@ def task_device_family_signature(task: Task, device: DeviceSpec,
 
 
 def _schedule_to_dict(schedule: Schedule) -> dict:
-    return asdict(schedule)
+    return {f.name: getattr(schedule, f.name) for f in fields(schedule)}
 
 
 def _schedule_from_dict(kind: str, data: dict) -> Schedule:
@@ -339,16 +340,16 @@ class MeasurementRecord:
     extra_read_bytes: float = 0.0
     extra_write_bytes: float = 0.0
 
-    @property
+    @cached_property
     def problem_key(self) -> tuple:
         """Identity of the scheduling problem (distinct-problem counting)."""
         return (self.kind, self.m, self.n, self.k, self.batch,
                 round(self.extra_read_bytes), round(self.extra_write_bytes))
 
-    @property
+    @cached_property
     def key(self) -> tuple:
         """Dedup identity: one record per (problem, schedule)."""
-        return (*self.problem_key, astuple(self.schedule))
+        return (*self.problem_key, schedule_fields(self.schedule))
 
     def to_json(self) -> dict:
         return {'kind': self.kind,

@@ -7,8 +7,8 @@ the runtime never imports it.
 
 * :mod:`repro.tune.features` — deterministic featurization of (problem,
   schedule) pairs: occupancy, launch geometry, modeled work terms;
-* :mod:`repro.tune.cost_model` — :class:`RidgeCostModel`, a pure-python
-  ridge regressor on log-latency with underfit and calibration gates;
+* :mod:`repro.tune.cost_model` — :class:`RidgeCostModel`, a ridge
+  regressor on log-latency with underfit and calibration gates;
 * :mod:`repro.tune.service` — :func:`run_tuning_service`, sharding a model
   zoo's tuning problems across simulated workers that share one cache
   through the append-only record log.

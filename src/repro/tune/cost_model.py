@@ -8,9 +8,13 @@ tuner actually measured, across every problem tuned through that cache.
 the cache's ``measurement_version``, so the model silently refreshes as
 tuning adds data and costs nothing when it doesn't.
 
-Ridge over standardized features, solved by Gaussian elimination in pure
-python (no numpy — the model must stay importable anywhere the runtime is,
-and ~30 features × a few thousand samples is microseconds of arithmetic).
+Ridge over standardized features.  Featurization is pure, so each
+(problem, schedule) pair is featurized once and memoized: a refit
+featurizes only the records it has not seen, and ``rank`` reuses the
+vectors of candidates already featurized.  A refit is then one
+O(records·d²) numpy pass accumulating the weighted normal equations,
+row by row in canonical record order so every float rounds exactly as a
+plain left-to-right sum would, followed by an O(d³) Gaussian elimination.
 Log-space targets because schedule latencies span orders of magnitude and
 ranking is what matters, not absolute error.
 
@@ -24,10 +28,11 @@ calibration gate.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple
 from typing import Optional, Sequence
 
-from ..core.schedule import MatmulSchedule
+import numpy as np
+
+from ..core.schedule import MatmulSchedule, schedule_fields
 from ..gpusim.device import DeviceSpec, RTX3090
 from .features import FEATURE_NAMES, featurize
 
@@ -62,6 +67,26 @@ def _solve(a: list[list[float]], b: list[float]) -> list[float]:
                                    for j in range(row + 1, size))
         x[row] = acc / aug[row][row]
     return x
+
+
+def _seqsum(values: np.ndarray):
+    """Sum along the first axis strictly in index order.
+
+    Equals Python's ``sum`` element for element: ``np.sum`` adds pairwise
+    and rounds differently.  The ``+ 0.0`` matches ``sum``'s ``0.0`` start,
+    which turns an all-``-0.0`` sum into ``0.0``.
+    """
+    return np.add.accumulate(values, axis=0)[-1] + 0.0
+
+
+def _square(values: np.ndarray) -> np.ndarray:
+    """``values ** 2`` rounded as Python's float ``** 2`` rounds it.
+
+    ``float_power`` calls libm ``pow`` per element, as Python does;
+    ``x * x``, ``np.square`` and numpy's vectorized ``power`` differ from
+    ``pow(x, 2.0)`` in the last bit for about one value in a thousand.
+    """
+    return np.float_power(values, 2.0)
 
 
 class RidgeCostModel:
@@ -108,6 +133,9 @@ class RidgeCostModel:
         self.train_r2: float = math.nan
         self.num_samples: int = 0
         self.num_problems: int = 0
+        #: featurize inputs -> feature vector; featurization is pure, so a
+        #: pair is featurized once however often it is refit or ranked
+        self._features: dict[tuple, np.ndarray] = {}
 
     # -- training ------------------------------------------------------
 
@@ -123,6 +151,20 @@ class RidgeCostModel:
         return featurize(m, n, k, sched, device=self.device, batch=batch,
                          extra_read_bytes=extra_read_bytes,
                          extra_write_bytes=extra_write_bytes)
+
+    def _feature_row(self, m: int, n: int, k: int, sched: MatmulSchedule,
+                     batch: int, extra_read_bytes: float,
+                     extra_write_bytes: float) -> np.ndarray:
+        """Memoized :meth:`featurize`, keyed on its exact arguments (a
+        record's ``key`` rounds the fused byte counts)."""
+        key = (m, n, k, batch, extra_read_bytes, extra_write_bytes, sched)
+        row = self._features.get(key)
+        if row is None:
+            row = self._features[key] = np.array(self.featurize(
+                m, n, k, sched, batch=batch,
+                extra_read_bytes=extra_read_bytes,
+                extra_write_bytes=extra_write_bytes))
+        return row
 
     def fit(self, records: Sequence) -> bool:
         """Fit on measurement records; returns readiness.
@@ -142,70 +184,62 @@ class RidgeCostModel:
                 or self.num_problems < self.min_problems:
             return False
 
-        rows = [list(self.featurize(r.m, r.n, r.k, r.schedule, batch=r.batch,
-                                    extra_read_bytes=r.extra_read_bytes,
-                                    extra_write_bytes=r.extra_write_bytes))
-                for r in usable]
-        targets = [math.log(r.latency) for r in usable]
+        raw = np.array([self._feature_row(r.m, r.n, r.k, r.schedule, r.batch,
+                                          r.extra_read_bytes,
+                                          r.extra_write_bytes)
+                        for r in usable])
+        targets = np.array([math.log(r.latency) for r in usable])
         # importance weights: how close each sample is to its problem's best
         best: dict[tuple, float] = {}
         for r in usable:
             current = best.get(r.problem_key)
             if current is None or r.latency < current:
                 best[r.problem_key] = r.latency
-        sample_weights = [(best[r.problem_key] / r.latency) ** self.rank_focus
-                          for r in usable]
-        dim = len(FEATURE_NAMES)
+        sample_weights = np.array(
+            [(best[r.problem_key] / r.latency) ** self.rank_focus
+             for r in usable])
+        weight_total = float(_seqsum(sample_weights))
         count = float(self.num_samples)
-        mean = [sum(row[j] for row in rows) / count for j in range(dim)]
-        std = []
-        for j in range(dim):
-            var = sum((row[j] - mean[j]) ** 2 for row in rows) / count
-            std.append(math.sqrt(var) if var > 0.0 else 1.0)
-        for row in rows:
-            for j in range(dim):
-                row[j] = (row[j] - mean[j]) / std[j]
+        mean = _seqsum(raw) / count
+        centered = raw - mean
+        var = _seqsum(_square(centered)) / count
+        std = np.where(var > 0.0, np.sqrt(var), 1.0)
+        rows = centered / std
 
         # weighted normal equations with a bias column; the bias is not
         # penalized, and the ridge term scales with the total weight so
-        # alpha means the same thing at any corpus size
-        width = dim + 1
-        gram = [[0.0] * width for _ in range(width)]
-        moment = [0.0] * width
-        weight_total = sum(sample_weights)
-        for row, y, sw in zip(rows, targets, sample_weights):
-            aug_row = [1.0] + row
-            for i in range(width):
-                ri = aug_row[i] * sw
-                if ri == 0.0:
-                    continue
-                moment[i] += ri * y
-                gram_i = gram[i]
-                for j in range(i, width):
-                    gram_i[j] += ri * aug_row[j]
-        for i in range(width):
-            for j in range(i + 1, width):
-                gram[j][i] = gram[i][j]
-        for i in range(1, width):
-            gram[i][i] += self.alpha * weight_total
+        # alpha means the same thing at any corpus size.  Rows are added
+        # one at a time, which keeps every entry's summation order; the
+        # upper triangle is kept and mirrored
+        width = len(FEATURE_NAMES) + 1
+        aug_rows = np.hstack([np.ones((len(rows), 1)), rows])
+        gram = np.zeros((width, width))
+        moment = np.zeros(width)
+        for aug_row, y, sw in zip(aug_rows, targets.tolist(),
+                                  sample_weights.tolist()):
+            weighted = aug_row * sw
+            moment += weighted * y
+            gram += weighted[:, None] * aug_row
+        lower = np.tril_indices(width, -1)
+        gram[lower] = gram.T[lower]
+        diagonal = np.arange(1, width)
+        gram[diagonal, diagonal] += self.alpha * weight_total
         try:
-            weights = _solve(gram, moment)
+            weights = _solve(gram.tolist(), moment.tolist())
         except ArithmeticError:
             return False
 
         # readiness R² under the same weighting the fit optimized — the
         # unweighted R² of a rank-focused fit would punish exactly the
         # slow-candidate error the objective chose to ignore
-        predictions = [weights[0] + sum(w * x for w, x in zip(weights[1:], row))
-                       for row in rows]
-        y_mean = (sum(sw * y for sw, y in zip(sample_weights, targets))
-                  / weight_total)
-        ss_tot = sum(sw * (y - y_mean) ** 2
-                     for sw, y in zip(sample_weights, targets))
-        ss_res = sum(sw * (y - p) ** 2
-                     for sw, y, p in zip(sample_weights, targets, predictions))
+        predictions = weights[0] + _dot_columns(weights[1:], rows)
+        y_mean = float(_seqsum(sample_weights * targets)) / weight_total
+        ss_tot = float(_seqsum(sample_weights * _square(targets - y_mean)))
+        ss_res = float(_seqsum(sample_weights
+                               * _square(targets - predictions)))
         self.train_r2 = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 0.0
-        self._weights, self._mean, self._std = weights, mean, std
+        self._weights = weights
+        self._mean, self._std = mean.tolist(), std.tolist()
         return self.ready
 
     @property
@@ -226,19 +260,24 @@ class RidgeCostModel:
 
     # -- inference -----------------------------------------------------
 
+    def _predict_rows(self, features: np.ndarray) -> list[float]:
+        """Predicted seconds for each row of raw feature vectors."""
+        centered = features - self._mean
+        total = np.zeros(len(features))
+        for j, (w, sd) in enumerate(zip(self._weights[1:], self._std)):
+            total += w * centered[:, j] / sd
+        log_latency = self._weights[0] + total
+        return [math.exp(v) for v in log_latency.tolist()]
+
     def predict(self, m: int, n: int, k: int, sched: MatmulSchedule,
                 batch: int = 1, extra_read_bytes: float = 0.0,
                 extra_write_bytes: float = 0.0) -> float:
         """Predicted latency in seconds (requires a fitted model)."""
         if self._weights is None:
             raise RuntimeError('cost model is not fitted')
-        features = self.featurize(m, n, k, sched, batch=batch,
-                                  extra_read_bytes=extra_read_bytes,
-                                  extra_write_bytes=extra_write_bytes)
-        log_latency = self._weights[0] + sum(
-            w * (x - mu) / sd for w, x, mu, sd
-            in zip(self._weights[1:], features, self._mean, self._std))
-        return math.exp(log_latency)
+        row = self._feature_row(m, n, k, sched, batch, extra_read_bytes,
+                                extra_write_bytes)
+        return self._predict_rows(row[None, :])[0]
 
     def rank(self, m: int, n: int, k: int,
              candidates: Sequence[MatmulSchedule],
@@ -256,9 +295,20 @@ class RidgeCostModel:
         self._refresh()
         if not self.ready:
             return None
-        scored = [(sched, self.predict(m, n, k, sched, batch=batch,
-                                       extra_read_bytes=extra_read_bytes,
-                                       extra_write_bytes=extra_write_bytes))
-                  for sched in candidates]
-        scored.sort(key=lambda pair: (pair[1], astuple(pair[0])))
+        features = np.array([self._feature_row(m, n, k, sched, batch,
+                                                extra_read_bytes,
+                                                extra_write_bytes)
+                             for sched in candidates]
+                            ).reshape(len(candidates), len(FEATURE_NAMES))
+        scored = list(zip(candidates, self._predict_rows(features)))
+        scored.sort(key=lambda pair: (pair[1], schedule_fields(pair[0])))
         return scored
+
+
+def _dot_columns(weights: Sequence[float], rows: np.ndarray) -> np.ndarray:
+    """``sum(w * x for w, x in zip(weights, row))`` for every row at once,
+    adding the terms in the same order as that sum."""
+    total = np.zeros(len(rows))
+    for j, w in enumerate(weights):
+        total += w * rows[:, j]
+    return total

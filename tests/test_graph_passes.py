@@ -7,6 +7,7 @@ from repro.graph.ops.conv import Conv2dOp, Im2colOp
 from repro.graph.ops.matmul import MatmulOp
 from repro.graph.passes import (build_group_spec, fold_constants,
                                 lower_conv_to_gemm, partition_graph)
+from repro.graph.passes.fuse_partition import FusedGroup, _topological_groups
 
 RNG = np.random.default_rng(0)
 
@@ -140,3 +141,168 @@ class TestGroupSpec:
         spec = build_group_spec(group)
         names = [ti.name for ti in spec.spec.outer_inputs()]
         assert len(names) == len(set(names))
+
+
+# -- the partition before its reader index, kept as an oracle --------------
+
+
+def _reference_consumers(graph, tensor):
+    """The O(N) ``FlowGraph.consumers`` scan the reader index replaced."""
+    return [op for op in graph.nodes if any(t is tensor for t in op.inputs)]
+
+
+def _reference_input_tensors(group):
+    """``FusedGroup.input_tensors`` before its id-set dedup, verbatim."""
+    internal = {op.output._id for op in group.members}
+    seen = []
+    for op in group.members:
+        for t in op.inputs:
+            if t._id not in internal and all(t is not s for s in seen):
+                seen.append(t)
+    return seen
+
+
+def _reference_partition_graph(graph):
+    """``partition_graph`` as it was before the reader index and the
+    incremental materialized set, verbatim except that it calls the two
+    reference helpers above."""
+    placed = {}   # anchor/epilogue ownership (exclusive)
+    output_ids = {t._id for t in graph.outputs}
+    topo_index = {id(op): i for i, op in enumerate(graph.nodes)}
+    groups = []
+
+    def absorb_epilogues(group):
+        current = group.anchor.output
+        while current._id not in output_ids:
+            consumers = _reference_consumers(graph, current)
+            if len(consumers) != 1:
+                break
+            consumer = consumers[0]
+            if id(consumer) in placed or not consumer.is_injective:
+                break
+            positions = [i for i, t in enumerate(consumer.inputs) if t is current]
+            if len(positions) != 1:
+                break
+            chain_input = consumer.task.inputs[positions[0]]
+            if chain_input not in consumer.task.inverse_maps:
+                break
+            if any(t is not current and t.producer is not None
+                   and group.contains(t.producer)
+                   for t in consumer.inputs):
+                break
+            group.epilogue_ops.append(consumer)
+            placed[id(consumer)] = group
+            current = consumer.output
+        group.output = current
+
+    def absorb_prologues(group):
+        frontier = list(group.anchor.inputs)
+        while frontier:
+            tensor = frontier.pop()
+            producer = tensor.producer
+            if producer is None or id(producer) in placed:
+                continue
+            if group.contains(producer) or not producer.is_injective:
+                continue
+            group.prologue_ops.append(producer)     # duplication allowed
+            frontier.extend(producer.inputs)
+
+    # -- phase 1: non-injective anchors (+ epilogue chains) -----------------
+    candidates = [op for op in graph.nodes if not op.is_injective]
+    candidates.sort(key=lambda op: (-op.anchor_priority, topo_index[id(op)]))
+    for op in candidates:
+        if id(op) in placed:
+            continue
+        group = FusedGroup(anchor=op)
+        placed[id(op)] = group
+        absorb_epilogues(group)
+        groups.append(group)
+
+    # -- phase 2: prologue absorption with duplication ----------------------
+    for group in groups:
+        absorb_prologues(group)
+
+    # -- phase 3: materialize injective ops someone still reads -------------
+    def materialized_ids():
+        needed = set(output_ids)
+        for g in groups:
+            needed.update(t._id for t in _reference_input_tensors(g))
+        return needed
+
+    unplaced = [op for op in graph.nodes if id(op) not in placed]
+    for op in sorted(unplaced, key=lambda o: -topo_index[id(o)]):   # reverse topo
+        if id(op) in placed:
+            continue
+        if op.output._id not in materialized_ids():
+            continue
+        group = FusedGroup(anchor=op)
+        placed[id(op)] = group
+        absorb_prologues(group)
+        groups.append(group)
+
+    return _topological_groups(groups, placed)
+
+
+def _same_objects(a, b) -> bool:
+    return len(a) == len(b) and all(x is y for x, y in zip(a, b))
+
+
+def _assert_partition_matches_reference(graph) -> None:
+    got = partition_graph(graph)
+    want = _reference_partition_graph(graph)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.anchor is w.anchor
+        assert _same_objects(g.prologue_ops, w.prologue_ops)
+        assert _same_objects(g.epilogue_ops, w.epilogue_ops)
+        assert g.output is w.output
+        assert _same_objects(g.input_tensors(), _reference_input_tensors(w))
+
+
+def _softmax_graph():
+    return trace(ops.softmax(symbol([4, 64])))
+
+
+def _output_mid_graph():
+    x = symbol([8])
+    mid = ops.relu(x)
+    return trace([mid, ops.exp(mid)])
+
+
+def _reduce_prologue_graph():
+    return trace(ops.reduce_sum(ops.exp(symbol([4, 128]))))
+
+
+def _lowered(graph):
+    """The graph the executor partitions."""
+    return fold_constants(lower_conv_to_gemm(fold_constants(graph)))
+
+
+class TestPartitionMatchesReference:
+    """The linear-time partition returns the groups the quadratic one did:
+    same anchors, prologues, epilogues and outputs, by identity and in
+    order."""
+
+    @pytest.mark.parametrize('build', [
+        lambda: _conv_bn_relu_graph()[0],
+        lambda: _lowered(_conv_bn_relu_graph()[0]),
+        _softmax_graph, _output_mid_graph, _reduce_prologue_graph,
+    ], ids=['conv_bn_relu', 'conv_bn_relu_lowered', 'softmax',
+            'output_mid', 'reduce_prologue'])
+    def test_pass_test_graphs(self, build):
+        _assert_partition_matches_reference(build())
+
+    @pytest.mark.parametrize('name, kwargs', [
+        ('resnet50', {'image_size': 32}),
+        ('inception_v3', {'image_size': 75}),
+        ('mobilenet_v2', {'image_size': 32}),
+        ('bert', {'layers': 2, 'seq_length': 16, 'hidden': 32, 'heads': 2,
+                  'vocab_size': 500}),
+        ('gpt2', {'layers': 2, 'seq_length': 16, 'hidden': 48, 'heads': 4,
+                  'vocab_size': 500}),
+    ])
+    def test_zoo_models(self, name, kwargs):
+        from repro.models import MODEL_BUILDERS
+        graph = MODEL_BUILDERS[name](**kwargs)
+        _assert_partition_matches_reference(graph)
+        _assert_partition_matches_reference(_lowered(graph))

@@ -7,19 +7,23 @@ the identical modeled latency — plus regression tests for the tuner
 cache-hit accounting, the empty-reduce-space fallback, and the batched
 split-k decision surfacing.
 """
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
-from repro.core.schedule import MatmulSchedule, ReduceSchedule
+from repro.core.schedule import MatmulSchedule, ReduceSchedule, schedule_fields
+from repro.core.space import matmul_schedule_space
 from repro.core.tuning import MatmulTuner
 from repro.graph import from_numpy, ops, symbol, trace
 from repro.gpusim import RTX3090, A100, SimulatedClock
 from repro.models.common import WeightFactory, conv_bn_relu
 from repro.runtime import (HidetExecutor, ScheduleCache, default_schedule_cache,
                            optimize, task_signature)
-from repro.runtime.cache import CACHE_FORMAT_VERSION, CacheEntry
+from repro.runtime.cache import (CACHE_FORMAT_VERSION, CacheEntry,
+                                 _schedule_to_dict)
 
 RNG = np.random.default_rng(11)
 
@@ -107,6 +111,18 @@ class TestScheduleCacheCore:
     def test_unknown_schedule_kind_rejected(self):
         with pytest.raises(ValueError, match='kind'):
             CacheEntry.from_json({'kind': 'conv3d', 'schedule': {}})
+
+    def test_schedule_fields_match_dataclasses_helpers(self):
+        """Record keys and the record log are built from plain field
+        tuples; they must equal ``astuple``/``asdict`` so key order and
+        log bytes stay what they were."""
+        schedules = (list(matmul_schedule_space(RTX3090))
+                     + [ReduceSchedule(),
+                        ReduceSchedule(block_size=128, items_per_thread=2)])
+        for sched in schedules:
+            assert schedule_fields(sched) == dataclasses.astuple(sched)
+            assert (json.dumps(_schedule_to_dict(sched))
+                    == json.dumps(dataclasses.asdict(sched)))
 
 
 class TestWarmCompile:

@@ -8,11 +8,17 @@ and the `BENCH_tuning.json` record itself.  The adversarial test is the
 safety contract: a confidently-wrong model must cost wasted ranking, never
 a bad schedule.
 """
+import dataclasses
+import functools
 import importlib
+import math
 import pathlib
+import random
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.space import matmul_schedule_space
 from repro.core.tuning import HIDET_TUNING_COSTS, MatmulTuner
@@ -26,6 +32,8 @@ from repro.serve.deployment import BatchingSpec, ReplicaGroupSpec
 from repro.tune import (DEFAULT_SEED_PROBLEMS, FEATURE_NAMES, RidgeCostModel,
                         featurize, run_tuning_service, seed_cost_model,
                         shard_problems)
+from repro.tune import cost_model as cost_model_module
+from repro.tune.cost_model import _seqsum, _solve, _square
 
 BENCH_DIR = pathlib.Path(__file__).resolve().parent.parent / 'benchmarks'
 
@@ -94,6 +102,216 @@ class TestCostModelDeterminism:
         cold = RidgeCostModel(RTX3090).bind(ScheduleCache())
         assert cold.rank(512, 512, 512, SPACE) is None
         assert not cold.ready
+
+
+@functools.cache
+def _seed_corpus() -> tuple:
+    """The default ``seed_cost_model`` corpus (about 2.9k records)."""
+    cache = ScheduleCache()
+    seed_cost_model(cache, RTX3090)
+    return cache.measurements()
+
+
+def _reference_fit(self, records) -> bool:
+    """The pure-python ``RidgeCostModel.fit`` the numpy refit replaced,
+    verbatim: the oracle the refit must reproduce bit for bit."""
+    usable = sorted((r for r in records
+                     if r.kind == 'matmul' and r.latency > 0.0),
+                    key=lambda r: r.key)
+    self.num_samples = len(usable)
+    self.num_problems = len({r.problem_key for r in usable})
+    self._weights = None
+    self.train_r2 = math.nan
+    if self.num_samples < self.min_samples \
+            or self.num_problems < self.min_problems:
+        return False
+
+    rows = [list(self.featurize(r.m, r.n, r.k, r.schedule, batch=r.batch,
+                                extra_read_bytes=r.extra_read_bytes,
+                                extra_write_bytes=r.extra_write_bytes))
+            for r in usable]
+    targets = [math.log(r.latency) for r in usable]
+    # importance weights: how close each sample is to its problem's best
+    best: dict[tuple, float] = {}
+    for r in usable:
+        current = best.get(r.problem_key)
+        if current is None or r.latency < current:
+            best[r.problem_key] = r.latency
+    sample_weights = [(best[r.problem_key] / r.latency) ** self.rank_focus
+                      for r in usable]
+    dim = len(FEATURE_NAMES)
+    count = float(self.num_samples)
+    mean = [sum(row[j] for row in rows) / count for j in range(dim)]
+    std = []
+    for j in range(dim):
+        var = sum((row[j] - mean[j]) ** 2 for row in rows) / count
+        std.append(math.sqrt(var) if var > 0.0 else 1.0)
+    for row in rows:
+        for j in range(dim):
+            row[j] = (row[j] - mean[j]) / std[j]
+
+    # weighted normal equations with a bias column; the bias is not
+    # penalized, and the ridge term scales with the total weight so
+    # alpha means the same thing at any corpus size
+    width = dim + 1
+    gram = [[0.0] * width for _ in range(width)]
+    moment = [0.0] * width
+    weight_total = sum(sample_weights)
+    for row, y, sw in zip(rows, targets, sample_weights):
+        aug_row = [1.0] + row
+        for i in range(width):
+            ri = aug_row[i] * sw
+            if ri == 0.0:
+                continue
+            moment[i] += ri * y
+            gram_i = gram[i]
+            for j in range(i, width):
+                gram_i[j] += ri * aug_row[j]
+    for i in range(width):
+        for j in range(i + 1, width):
+            gram[j][i] = gram[i][j]
+    for i in range(1, width):
+        gram[i][i] += self.alpha * weight_total
+    try:
+        weights = _solve(gram, moment)
+    except ArithmeticError:
+        return False
+
+    # readiness R² under the same weighting the fit optimized — the
+    # unweighted R² of a rank-focused fit would punish exactly the
+    # slow-candidate error the objective chose to ignore
+    predictions = [weights[0] + sum(w * x for w, x in zip(weights[1:], row))
+                   for row in rows]
+    y_mean = (sum(sw * y for sw, y in zip(sample_weights, targets))
+              / weight_total)
+    ss_tot = sum(sw * (y - y_mean) ** 2
+                 for sw, y in zip(sample_weights, targets))
+    ss_res = sum(sw * (y - p) ** 2
+                 for sw, y, p in zip(sample_weights, targets, predictions))
+    self.train_r2 = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 0.0
+    self._weights, self._mean, self._std = weights, mean, std
+    return self.ready
+
+
+def _reference_predict(self, m, n, k, sched, batch=1, extra_read_bytes=0.0,
+                       extra_write_bytes=0.0) -> float:
+    """The pure-python ``RidgeCostModel.predict``, verbatim."""
+    if self._weights is None:
+        raise RuntimeError('cost model is not fitted')
+    features = self.featurize(m, n, k, sched, batch=batch,
+                              extra_read_bytes=extra_read_bytes,
+                              extra_write_bytes=extra_write_bytes)
+    log_latency = self._weights[0] + sum(
+        w * (x - mu) / sd for w, x, mu, sd
+        in zip(self._weights[1:], features, self._mean, self._std))
+    return math.exp(log_latency)
+
+
+def _assert_fit_matches_reference(model: RidgeCostModel, records,
+                                  reference: RidgeCostModel = None) -> None:
+    """Fit ``model`` and ``reference`` (fresh unless given: a fit that
+    fails its gates keeps the previous ``_mean``/``_std``, so a reused
+    model must be compared with a reference that saw the same fits)."""
+    reference = reference or RidgeCostModel(RTX3090)
+    assert model.fit(records) == _reference_fit(reference, records)
+    assert model._weights == reference._weights
+    assert model._mean == reference._mean
+    assert model._std == reference._std
+    assert (model.train_r2 == reference.train_r2
+            or math.isnan(model.train_r2) and math.isnan(reference.train_r2))
+    assert (model.num_samples, model.num_problems) == \
+        (reference.num_samples, reference.num_problems)
+
+
+class TestRefitIsExact:
+    """The numpy refit reproduces the pure-python fit bit for bit, and
+    featurizes each (problem, schedule) pair once."""
+
+    def test_seed_corpus(self):
+        model = RidgeCostModel(RTX3090)
+        _assert_fit_matches_reference(model, _seed_corpus())
+        assert model.ready
+
+    #: one model across examples: its feature memo, warmed by earlier
+    #: subsets, must never change a later fit
+    _shared = RidgeCostModel(RTX3090)
+    _shared_reference = RidgeCostModel(RTX3090)
+
+    @settings(max_examples=8, deadline=None)
+    @given(fraction=st.floats(0.05, 1.0), rng=st.randoms(use_true_random=False))
+    def test_subsets_in_any_insertion_order(self, fraction, rng):
+        corpus = _seed_corpus()
+        subset = rng.sample(corpus, max(1, int(fraction * len(corpus))))
+        _assert_fit_matches_reference(self._shared, subset,
+                                      self._shared_reference)
+
+    def test_fused_bytes_that_round_alike_featurize_apart(self):
+        """Records whose fused byte counts differ below the rounding in
+        ``MeasurementRecord.key`` have different features; the memo must
+        not hand one the other's vector."""
+        model = RidgeCostModel(RTX3090)
+        for extra in (1000.2, 1000.4):
+            records = [dataclasses.replace(r, extra_read_bytes=extra)
+                       for r in _seed_corpus()[::3]]
+            _assert_fit_matches_reference(model, records)
+            assert model.ready
+
+    @pytest.mark.parametrize('m, n, k, batch, extra', [
+        (256, 768, 768, 1, 0.0), (49, 2048, 512, 1, 4096.0),
+        (300, 700, 900, 2, 1234.5)])
+    def test_rank_matches_reference_predictions(self, m, n, k, batch, extra):
+        model = RidgeCostModel(RTX3090)
+        assert model.fit(_seed_corpus())
+        want = sorted(((s, _reference_predict(model, m, n, k, s, batch=batch,
+                                              extra_read_bytes=extra))
+                       for s in SPACE),
+                      key=lambda pair: (pair[1], dataclasses.astuple(pair[0])))
+        assert model.rank(m, n, k, SPACE, batch=batch,
+                          extra_read_bytes=extra) == want
+        assert model.predict(m, n, k, SPACE[7], batch=batch,
+                             extra_read_bytes=extra) == \
+            _reference_predict(model, m, n, k, SPACE[7], batch=batch,
+                               extra_read_bytes=extra)
+
+    def test_vector_helpers_round_like_python(self):
+        """``_square`` and ``_seqsum`` reproduce Python's ``x ** 2`` and
+        ``sum``; ``x * x`` and ``np.sum`` would not, on values like these."""
+        rng = random.Random(7)
+        values = [rng.uniform(-10.0, 10.0) * 2.0 ** rng.randint(-30, 30)
+                  for _ in range(20000)]
+        array = np.array(values)
+        assert _square(array).tolist() == [v ** 2 for v in values]
+        assert float(_seqsum(array)) == sum(values)
+        table = array.reshape(-1, 4)
+        assert _seqsum(table).tolist() == [sum(col) for col in
+                                           table.T.tolist()]
+        assert float(_seqsum(np.array([-0.0, -0.0]))) == 0.0
+        assert math.copysign(1.0, float(_seqsum(np.array([-0.0])))) == 1.0
+
+    def test_refit_featurizes_only_new_records(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return featurize(*args, **kwargs)
+
+        monkeypatch.setattr(cost_model_module, 'featurize', counting)
+        corpus = list(_seed_corpus())
+        random.Random(0).shuffle(corpus)
+        old, new = corpus[:2000], corpus[2000:]
+        model = RidgeCostModel(RTX3090)
+        assert model.fit(old)
+        assert len(calls) == len(old)
+        calls.clear()
+        assert model.fit(old + new)
+        assert len(calls) == len(new)
+        # ranking a measured problem's own candidates featurizes nothing
+        calls.clear()
+        m, n, k, batch = DEFAULT_SEED_PROBLEMS[0]
+        measured = [r.schedule for r in corpus
+                    if (r.m, r.n, r.k, r.batch) == (m, n, k, batch)]
+        assert model.rank(m, n, k, measured, batch=batch) is not None
+        assert calls == []
 
 
 class TestGuidedTuning:
