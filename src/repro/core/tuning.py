@@ -99,7 +99,7 @@ class MatmulTuner:
                 batch: int = 1) -> float:
         """Modeled latency (seconds) of all kernels the schedule launches."""
         stats = matmul_template.matmul_stats(
-            m, n, k, sched, batch=batch,
+            m, n, k, sched, batch=batch, device=self.device,
             extra_read_bytes=extra_read_bytes, extra_write_bytes=extra_write_bytes)
         return sum(self.model.latency(s) for s in stats)
 

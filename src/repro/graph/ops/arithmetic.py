@@ -169,9 +169,15 @@ def rsqrt(x: Tensor) -> Tensor:
                               lambda a: 1.0 / np.sqrt(a)).output
 
 
-def erf(x: Tensor) -> Tensor:
+def _np_erf(a: np.ndarray) -> np.ndarray:
+    """scipy's erf, imported on first evaluation: building a graph reads no
+    values, so it does not pay for importing scipy."""
     from scipy.special import erf as np_erf
-    return UnaryElementwiseOp(x, 'erf', lambda v: UnaryExpr('erf', v), np_erf).output
+    return np_erf(a)
+
+
+def erf(x: Tensor) -> Tensor:
+    return UnaryElementwiseOp(x, 'erf', lambda v: UnaryExpr('erf', v), _np_erf).output
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -185,12 +191,11 @@ def sigmoid(x: Tensor) -> Tensor:
 
 def gelu(x: Tensor) -> Tensor:
     """Exact (erf-based) GELU, the transformer feed-forward activation."""
-    from scipy.special import erf as np_erf
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     return UnaryElementwiseOp(
         x, 'gelu',
         lambda v: 0.5 * v * (1.0 + UnaryExpr('erf', v * inv_sqrt2)),
-        lambda a: 0.5 * a * (1.0 + np_erf(a * inv_sqrt2))).output
+        lambda a: 0.5 * a * (1.0 + _np_erf(a * inv_sqrt2))).output
 
 
 def negate(x: Tensor) -> Tensor:

@@ -4,43 +4,54 @@ A :class:`Tensor` is an edge of the computation graph: it has a static shape
 and dtype, may carry constant data (weights after import / constant folding),
 and records which :class:`~repro.graph.operator.Operator` produced it.
 Symbolic tensors (no data, no producer) are graph inputs.
+
+A constant holds either its array or a ``compute`` callable that produces
+it.  :meth:`Tensor.numpy` is the only way to read a value: it materializes a
+lazy constant once and caches the array.  Compiling, tuning and serving only
+look at shapes and dtypes, so they never materialize a weight.
 """
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from ..ir.types import DataType, data_type
 
-__all__ = ['Tensor', 'symbol', 'from_numpy', 'randn', 'zeros', 'ones']
+__all__ = ['Tensor', 'symbol', 'from_numpy', 'randn']
 
 
 class Tensor:
     _counter = 0
 
     def __init__(self, shape: Sequence[int], dtype: DataType | str = 'float32',
-                 data: Optional[np.ndarray] = None, producer=None, name: str = ''):
+                 data: Optional[np.ndarray] = None, producer=None, name: str = '',
+                 compute: Optional[Callable[[], np.ndarray]] = None):
         self.shape: tuple[int, ...] = tuple(int(s) for s in shape)
         self.dtype: DataType = data_type(dtype)
-        self.data = data
+        self._data: Optional[np.ndarray] = None
+        self._compute = compute    # lazy constant: produces the value once
         self.producer = producer   # Operator or None
         Tensor._counter += 1
         self._id = Tensor._counter
         self.name = name or f't{self._id}'
         if data is not None:
-            if tuple(data.shape) != self.shape:
-                raise ValueError(f'data shape {data.shape} != tensor shape {self.shape}')
+            self._set_value(data)
 
     # -- classification -----------------------------------------------------
 
     @property
     def is_constant(self) -> bool:
-        return self.data is not None
+        return self._data is not None or self._compute is not None
+
+    @property
+    def is_materialized(self) -> bool:
+        """Whether this constant's value has been computed (or was given)."""
+        return self._data is not None
 
     @property
     def is_symbolic(self) -> bool:
-        return self.data is None and self.producer is None
+        return not self.is_constant and self.producer is None
 
     @property
     def rank(self) -> int:
@@ -58,9 +69,18 @@ class Tensor:
         return self.num_elements * self.dtype.nbytes
 
     def numpy(self) -> np.ndarray:
-        if self.data is None:
-            raise ValueError(f'tensor {self.name!r} has no constant data')
-        return self.data
+        """The constant's value, computed on first read and then cached."""
+        if self._data is None:
+            if self._compute is None:
+                raise ValueError(f'tensor {self.name!r} has no constant data')
+            self._set_value(self._compute())
+        return self._data
+
+    def _set_value(self, value: np.ndarray) -> None:
+        if tuple(value.shape) != self.shape:
+            raise ValueError(f'tensor {self.name!r}: value shape {tuple(value.shape)} '
+                             f'!= tensor shape {self.shape}')
+        self._data, self._compute = value, None
 
     def __repr__(self) -> str:
         kind = 'const' if self.is_constant else ('sym' if self.is_symbolic else 'op')
@@ -127,10 +147,3 @@ def randn(shape: Sequence[int], dtype='float32', seed: Optional[int] = None,
     return Tensor(shape, dtype, data=(rng.standard_normal(shape) * scale).astype(np.float32),
                   name=name)
 
-
-def zeros(shape: Sequence[int], dtype='float32', name: str = '') -> Tensor:
-    return Tensor(shape, dtype, data=np.zeros(shape, dtype=np.float32), name=name)
-
-
-def ones(shape: Sequence[int], dtype='float32', name: str = '') -> Tensor:
-    return Tensor(shape, dtype, data=np.ones(shape, dtype=np.float32), name=name)

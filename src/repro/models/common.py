@@ -4,12 +4,21 @@ Weights are seeded-random constants with magnitudes that keep activations in
 a sane range (the experiments only need correct shapes and graph structure;
 functional tests compare executors against the numpy reference, so values
 just need to be finite and non-degenerate).
+
+Weights are lazy.  Building a model records each draw and returns constants
+that carry only a shape; compiling, tuning and serving read nothing else.
+Values materialize only where a graph is executed (``FlowGraph.run``,
+``CompiledGraph.run``) or exported (``onnx_io``).  The first read of any
+weight replays the model's single seed stream in draw order, so every value
+is bit-identical to drawing eagerly at build time.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from ..graph import Tensor, from_numpy, ops
+from ..graph import Tensor, ops
 
 __all__ = ['WeightFactory', 'conv_bn_relu', 'linear']
 
@@ -18,28 +27,45 @@ class WeightFactory:
     """Deterministic weight generator: one seed stream per model."""
 
     def __init__(self, seed: int):
-        self.rng = np.random.default_rng(seed)
+        self._rng = np.random.default_rng(seed)
+        #: (tensor, scale, offset) per draw not yet replayed, in draw order
+        self._draws: list = []
+
+    def _draw(self, shape: tuple[int, ...], scale: float, name: str,
+              offset: float = 0.0) -> Tensor:
+        tensor = Tensor(shape, 'float32', name=name,
+                        compute=functools.partial(self._replay, len(self._draws)))
+        self._draws.append((tensor, scale, offset))
+        return tensor
+
+    def _replay(self, index: int) -> np.ndarray:
+        """Draw every pending weight at once, in build order, and return the
+        ``index``-th.  Filled weights drop their producer and the factory
+        drops its draw list, so no tensor <-> factory cycle remains; later
+        draws continue the same stream."""
+        draws, self._draws = self._draws, []
+        for tensor, scale, offset in draws:
+            value = self._rng.standard_normal(tensor.shape) * scale
+            if offset:
+                value = offset + value
+            tensor._set_value(value.astype(np.float32))
+        return draws[index][0].numpy()
 
     def conv_weight(self, oc: int, ic: int, kh: int, kw: int, name: str = 'w') -> Tensor:
         fan_in = max(1, ic * kh * kw)
-        scale = (2.0 / fan_in) ** 0.5
-        data = (self.rng.standard_normal((oc, ic, kh, kw)) * scale).astype(np.float32)
-        return from_numpy(data, name=name)
+        return self._draw((oc, ic, kh, kw), (2.0 / fan_in) ** 0.5, name)
 
     def matrix(self, rows: int, cols: int, name: str = 'w') -> Tensor:
-        scale = (1.0 / max(1, rows)) ** 0.5
-        data = (self.rng.standard_normal((rows, cols)) * scale).astype(np.float32)
-        return from_numpy(data, name=name)
+        return self._draw((rows, cols), (1.0 / max(1, rows)) ** 0.5, name)
 
     def vector(self, n: int, name: str = 'b', scale: float = 0.02) -> Tensor:
-        data = (self.rng.standard_normal((n,)) * scale).astype(np.float32)
-        return from_numpy(data, name=name)
+        return self._draw((n,), scale, name)
 
     def bn_params(self, channels: int, name: str = 'bn') -> tuple[Tensor, Tensor]:
         """Folded inference-time batch-norm scale/shift, shaped [C, 1, 1]."""
-        scale = (1.0 + self.rng.standard_normal((channels, 1, 1)) * 0.05).astype(np.float32)
-        shift = (self.rng.standard_normal((channels, 1, 1)) * 0.05).astype(np.float32)
-        return from_numpy(scale, name=f'{name}_scale'), from_numpy(shift, name=f'{name}_shift')
+        scale = self._draw((channels, 1, 1), 0.05, f'{name}_scale', offset=1.0)
+        shift = self._draw((channels, 1, 1), 0.05, f'{name}_shift')
+        return scale, shift
 
 
 def conv_bn_relu(wf: WeightFactory, x: Tensor, out_channels: int,

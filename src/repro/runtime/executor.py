@@ -496,7 +496,7 @@ class HidetExecutor:
             problem = self._matmul_problem(group, spec, signature=signature)
             sched = self._schedule_matmul(problem, skip_lookup=True)
         stats = matmul_template.matmul_stats(
-            m, n, k, sched, name=group.name, batch=batch,
+            m, n, k, sched, name=group.name, batch=batch, device=self.device,
             extra_read_bytes=extra_read, extra_write_bytes=extra_write)
         latency = sum(self.model.latency(s) for s in stats)
         module = None

@@ -251,7 +251,8 @@ def matmul_stats(m: int, n: int, k: int, sched: MatmulSchedule,
                  name: str = 'matmul',
                  extra_read_bytes: float = 0.0,
                  extra_write_bytes: float = 0.0,
-                 batch: int = 1) -> list[KernelStats]:
+                 batch: int = 1,
+                 device: DeviceSpec = RTX3090) -> list[KernelStats]:
     """Kernel statistics of the instantiated template (one entry per kernel).
 
     Work terms are computed on the *padded* extents: a 2039³ matmul under a
@@ -273,8 +274,7 @@ def matmul_stats(m: int, n: int, k: int, sched: MatmulSchedule,
     # DRAM traffic: every block streams its A and B strips.  When a whole
     # input matrix fits in L2, the strips re-read by other tiles hit cache
     # (this is what makes skinny transformer matmuls bandwidth-reasonable).
-    from ..gpusim.device import RTX3090 as _default_device
-    l2_budget = _default_device.l2_cache_bytes * 0.6
+    l2_budget = device.l2_cache_bytes * 0.6
     reads_a = float(blocks) * bm * bk * k_tiles * 4        # gx copies of padded A
     reads_b = float(blocks) * bk * bn * k_tiles * 4        # gy copies of padded B
     unique_a = float(gy * bm) * (gz * k_tiles * bk) * 4 * batch

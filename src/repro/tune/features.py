@@ -83,7 +83,7 @@ def featurize(m: int, n: int, k: int, sched: MatmulSchedule,
 
     Ordered as :data:`FEATURE_NAMES`.  Pure and deterministic.
     """
-    stats = matmul_stats(m, n, k, sched, batch=batch,
+    stats = matmul_stats(m, n, k, sched, batch=batch, device=device,
                          extra_read_bytes=extra_read_bytes,
                          extra_write_bytes=extra_write_bytes)
     main = stats[0]

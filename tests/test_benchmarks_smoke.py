@@ -34,8 +34,8 @@ SMOKE_BUDGET_SECONDS = {
     'bench_serving': 10.0,
     # the tuning smoke compiles the whole zoo twice (guided vs exhaustive —
     # the cost-model acceptance claim covers every model) plus three
-    # tuning-service runs; ~45 s on a 2-vCPU VM, budgeted at 2x
-    'bench_fig17_tuning_cost': 90.0,
+    # tuning-service runs; ~30 s on a 2-vCPU VM, budgeted at 2x
+    'bench_fig17_tuning_cost': 60.0,
 }
 
 

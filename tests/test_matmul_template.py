@@ -1,12 +1,17 @@
 """The matmul template: functional correctness of every scheduling variant."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.backend.interpreter import run_kernel
 from repro.core.schedule import MatmulSchedule
+from repro.core.tuning import MatmulTuner
+from repro.gpusim.device import RTX3090
 from repro.gpusim.stats import OVERLAP_DOUBLE_BUFFER, OVERLAP_NONE
 from repro.sched.matmul_template import build_matmul_module, matmul_stats, matmul_task
+from repro.tune.features import featurize
 
 SMALL = MatmulSchedule(block_warps=(1, 1), warp_outer=(1, 1), thread_layout=(4, 8),
                        thread_tile=(4, 4), block_k=8, double_buffer=False)
@@ -90,6 +95,34 @@ class TestCorrectness:
 
 
 class TestStats:
+    def test_l2_budget_comes_from_the_device(self):
+        # a 512^3 matmul's A and B (1 MiB each) fit the default 6 MiB L2, so
+        # re-read strips hit cache; on a 64 KiB L2 every strip goes to DRAM
+        small_l2 = replace(RTX3090, l2_cache_bytes=64 * 1024)
+        sched = MatmulSchedule()
+        default = matmul_stats(512, 512, 512, sched)[0]
+        assert default == matmul_stats(512, 512, 512, sched, device=RTX3090)[0]
+        small = matmul_stats(512, 512, 512, sched, device=small_l2)[0]
+        assert small.gmem_read_bytes > default.gmem_read_bytes
+        assert featurize(512, 512, 512, sched, device=small_l2) != \
+            featurize(512, 512, 512, sched, device=RTX3090)
+        assert MatmulTuner(small_l2).measure(512, 512, 512, sched) > \
+            MatmulTuner(RTX3090).measure(512, 512, 512, sched)
+
+    def test_executor_bills_its_own_device_l2(self):
+        from repro.graph import from_numpy, ops, symbol, trace
+        from repro.runtime import HidetExecutor, ScheduleCache
+        small_l2 = replace(RTX3090, l2_cache_bytes=64 * 1024)
+        x = symbol([512, 512], name='x')
+        w = from_numpy(np.ones((512, 512), dtype=np.float32), name='w')
+        compiled = HidetExecutor(small_l2, cache=ScheduleCache()).compile(
+            trace(ops.matmul(x, w)))
+        (op,) = compiled.ops
+        assert op.stats[0].gmem_read_bytes == matmul_stats(
+            512, 512, 512, op.schedule, device=small_l2)[0].gmem_read_bytes
+        assert op.stats[0].gmem_read_bytes > matmul_stats(
+            512, 512, 512, op.schedule, device=RTX3090)[0].gmem_read_bytes
+
     def test_stats_reflect_double_buffering(self):
         sb = matmul_stats(256, 256, 256, SMALL)[0]
         db = matmul_stats(256, 256, 256, SMALL_DB)[0]
