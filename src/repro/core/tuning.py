@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .schedule import MatmulSchedule
 from .space import matmul_schedule_space, split_k_candidates
 from ..gpusim.clock import SimulatedClock, TuningCosts
@@ -67,6 +69,24 @@ class TuningResult:
         return self.best_latency * 1e3
 
 
+class _CandidateSet:
+    """A memoized candidate list, its row index and (built on first use)
+    its schedule columns."""
+
+    def __init__(self, schedules: list[MatmulSchedule]):
+        self.schedules = tuple(schedules)
+        self.rows: dict[MatmulSchedule, int] = {}
+        for row, sched in enumerate(self.schedules):
+            self.rows.setdefault(sched, row)
+        self._columns = None
+
+    def columns(self, model: PerfModel) -> matmul_template.ScheduleColumns:
+        if self._columns is None:
+            self._columns = matmul_template.ScheduleColumns.build(
+                self.schedules, model)
+        return self._columns
+
+
 class MatmulTuner:
     """Enumerate-and-measure tuner for the matmul template."""
 
@@ -78,6 +98,8 @@ class MatmulTuner:
         self.clock = clock if clock is not None else SimulatedClock()
         self.model = PerfModel(device)
         self._cache: dict[tuple, TuningResult] = {}
+        #: (device, space, split-k factors) -> memoized candidate list
+        self._candidate_sets: dict[tuple, _CandidateSet] = {}
         # lifetime accounting (drives the tuning.measurements_per_task bench
         # metric and the CompileReport counters)
         #: candidate measurements actually charged to the clock
@@ -103,19 +125,58 @@ class MatmulTuner:
             extra_read_bytes=extra_read_bytes, extra_write_bytes=extra_write_bytes)
         return sum(self.model.latency(s) for s in stats)
 
+    def _measure_batch(self, m: int, n: int, k: int, cset: '_CandidateSet',
+                       schedules: Sequence[MatmulSchedule],
+                       extra_read_bytes: float, extra_write_bytes: float,
+                       batch: int) -> list[float]:
+        """:meth:`measure` of each schedule (all from ``cset``) in one
+        array pass, as Python floats bit-identical to :meth:`measure`.  A
+        row the batch cannot evaluate goes through :meth:`measure`, which
+        raises the error a per-schedule loop would have raised first."""
+        columns = cset.columns(self.model).take(
+            [cset.rows[s] for s in schedules])
+        main, split_rows, reduce = matmul_template.matmul_stats_batch(
+            m, n, k, columns, batch=batch, device=self.device,
+            extra_read_bytes=extra_read_bytes,
+            extra_write_bytes=extra_write_bytes)
+        with np.errstate(all='ignore'):   # unlaunchable rows are redone below
+            total = self.model.estimate_batch(main)
+            total[split_rows] += self.model.estimate_batch(reduce)
+        launchable = main.launchable()
+        launchable[split_rows] &= reduce.launchable()
+        latencies = total.tolist()
+        for row in np.flatnonzero(~launchable).tolist():
+            latencies[row] = self.measure(m, n, k, schedules[row],
+                                          extra_read_bytes, extra_write_bytes,
+                                          batch)
+        return latencies
+
     def candidates(self, m: int, n: int, k: int,
                    space: Optional[Sequence[MatmulSchedule]] = None,
                    try_split_k: bool = True,
                    batch: int = 1) -> list[MatmulSchedule]:
         """Enumerate the full candidate list for a problem, without
         measuring: the base space plus the valid split-k variants (paper
-        §6.3.4 — batching disables split-k, see :meth:`tune`)."""
-        if space is None:
-            space = matmul_schedule_space(self.device)
-        cands = list(space)
+        §6.3.4 — batching disables split-k, see :meth:`tune`).  The list is
+        memoized per (device, space, split-k factors); every call returns a
+        fresh copy."""
+        return list(self._candidate_set(m, n, k, space, try_split_k,
+                                        batch).schedules)
+
+    def _candidate_set(self, m, n, k, space, try_split_k,
+                       batch) -> '_CandidateSet':
+        """The memoized candidate list of :meth:`candidates`.  It depends on
+        the problem only through its split-k factors, so problems share it."""
+        factors = ()
         if try_split_k and batch == 1:
-            factors = [f for f in split_k_candidates(m, n, k, self.device)
-                       if f != 1]
+            factors = tuple(f for f in split_k_candidates(m, n, k, self.device)
+                            if f != 1)
+        key = (self.device, None if space is None else tuple(space), factors)
+        cset = self._candidate_sets.get(key)
+        if cset is None:
+            if space is None:
+                space = matmul_schedule_space(self.device)
+            cands = list(space)
             seen = set(cands)
             for base in space:
                 for factor in factors:
@@ -123,7 +184,8 @@ class MatmulTuner:
                     if variant.is_valid(self.device) and variant not in seen:
                         seen.add(variant)
                         cands.append(variant)
-        return cands
+            cset = self._candidate_sets[key] = _CandidateSet(cands)
+        return cset
 
     def tune(self, m: int, n: int, k: int,
              space: Optional[Sequence[MatmulSchedule]] = None,
@@ -208,8 +270,8 @@ class MatmulTuner:
                            split_k_disabled_reason=split_k_reason)
 
         start = self.clock.elapsed_seconds
-        cands = self.candidates(m, n, k, space=space,
-                                try_split_k=try_split_k, batch=batch)
+        cset = self._candidate_set(m, n, k, space, try_split_k, batch)
+        cands = list(cset.schedules)
         analysis_rejected = 0
         if analyzer is not None:
             kept = []
@@ -231,11 +293,14 @@ class MatmulTuner:
         num_candidates = len(cands)
 
         def measure_into(latencies, schedules):
-            for sched in schedules:
-                if sched not in latencies:
-                    latencies[sched] = self.measure(
-                        m, n, k, sched, extra_read_bytes, extra_write_bytes,
-                        batch)
+            # one array pass over the schedules not measured yet, inserted
+            # in the order a per-schedule loop would have inserted them
+            missing = [s for s in dict.fromkeys(schedules)
+                       if s not in latencies]
+            if missing:
+                latencies.update(zip(missing, self._measure_batch(
+                    m, n, k, cset, missing, extra_read_bytes,
+                    extra_write_bytes, batch)))
 
         used_cost_model = False
         fallback_reason: Optional[str] = None

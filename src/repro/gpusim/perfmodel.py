@@ -22,12 +22,14 @@ hard failure (mirroring ``nvcc`` behaviour with ``-maxrregcount``).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from .arith import ARRAY, SCALAR, Ops
 from .device import DeviceSpec, RTX3090
-from .occupancy import compute_occupancy
-from .stats import KernelStats, LaunchStats
+from .occupancy import Occupancy, compute_occupancy
+from .stats import KernelBatch, KernelStats, LaunchStats
 
 __all__ = ['PerfModel', 'estimate_latency', 'ModelParams']
 
@@ -55,58 +57,29 @@ class PerfModel:
 
     # ------------------------------------------------------------------
 
-    def estimate(self, stats: KernelStats) -> LaunchStats:
-        device, params = self.device, self.params
+    def occupancy(self, threads_per_block: int, smem_bytes_per_block: int,
+                  regs_per_thread: int) -> Occupancy:
+        """Resident blocks of one block footprint; registers beyond the
+        device budget spill instead of limiting occupancy."""
+        return compute_occupancy(
+            self.device, threads_per_block, smem_bytes_per_block,
+            min(regs_per_thread, self.device.max_registers_per_thread))
 
-        regs = min(stats.regs_per_thread, device.max_registers_per_thread)
-        spilled = max(0, stats.regs_per_thread - device.max_registers_per_thread)
-        occ = compute_occupancy(device, stats.threads_per_block,
-                                stats.smem_bytes_per_block, regs)
+    def estimate(self, stats: KernelStats) -> LaunchStats:
+        occ = self.occupancy(stats.threads_per_block,
+                             stats.smem_bytes_per_block, stats.regs_per_thread)
         if not occ.viable:
             raise ValueError(
                 f'kernel {stats.name!r} cannot launch: limited by {occ.limited_by} '
                 f'(threads={stats.threads_per_block}, smem={stats.smem_bytes_per_block}, '
                 f'regs={stats.regs_per_thread})')
-
-        # 1. actual concurrency: the grid may not fill the resource limit
-        concurrent_per_sm = min(occ.resident_blocks_per_sm,
-                                math.ceil(stats.grid_blocks / device.num_sms))
-        warps_per_block = math.ceil(stats.threads_per_block / device.warp_size)
-        occupancy = min(1.0, concurrent_per_sm * warps_per_block / device.max_warps_per_sm)
-
-        # 2. occupancy-driven efficiencies, discounted by per-thread ILP
-        ilp = max(1.0, stats.ilp)
-        c_demand = max(params.min_occ_demand, params.compute_occ_demand / math.sqrt(ilp))
-        m_demand = max(params.min_occ_demand, params.memory_occ_demand / math.sqrt(ilp))
-        eff_c = params.base_compute_efficiency * min(1.0, occupancy / c_demand)
-        eff_m = params.base_memory_efficiency * min(1.0, occupancy / m_demand)
-        if spilled:
-            eff_c /= (1.0 + params.spill_penalty_per_reg * spilled)
-        eff_c = max(params.divergence_floor, eff_c)
-        eff_m = max(params.divergence_floor, eff_m)
-
-        # 3. roofline terms (aggregate over the whole launch)
-        t_compute = stats.flops / (device.peak_flops * eff_c)
-        t_memory = stats.gmem_bytes / (device.peak_bandwidth * eff_m * stats.coalesce_factor)
-        t_smem = (stats.smem_traffic_bytes * stats.smem_conflict_factor
-                  / device.peak_shared_bandwidth)
-
-        # 4. pipeline overlap between DRAM traffic and compute
-        alpha = stats.overlap
-        t_body = max(t_compute, t_memory) + (1.0 - alpha) * min(t_compute, t_memory)
-        t_body = max(t_body, t_smem)
-
-        # 5. wave quantization: latency rounds up to whole waves of resident
-        #    blocks; a fractional wave also covers idle-SM underutilization
-        capacity = concurrent_per_sm * device.num_sms
-        waves = stats.grid_blocks / capacity
-        quant = math.ceil(waves) / waves
-        t_body *= quant
-
-        # 6. fixed costs
-        t_body = max(t_body, params.min_block_latency * math.ceil(waves))
-        latency = t_body + device.kernel_launch_overhead
-
+        latency, t_compute, t_memory, t_smem, occupancy, concurrent_per_sm, waves = \
+            _launch_terms(SCALAR, self.device, self.params, stats.grid_blocks,
+                          stats.threads_per_block, stats.regs_per_thread,
+                          occ.resident_blocks_per_sm, stats.flops,
+                          stats.gmem_bytes, stats.smem_traffic_bytes,
+                          stats.smem_conflict_factor, stats.overlap, stats.ilp,
+                          stats.coalesce_factor)
         return LaunchStats(
             latency=latency,
             compute_time=t_compute,
@@ -118,6 +91,17 @@ class PerfModel:
             limited_by=occ.limited_by,
         )
 
+    def estimate_batch(self, kernels: KernelBatch) -> np.ndarray:
+        """Latency (seconds) of every row of ``kernels``, bit-identical to
+        :meth:`latency` on the same row.  Every row must pass
+        :meth:`KernelBatch.launchable`; the caller reports the others."""
+        k = kernels
+        return _launch_terms(ARRAY, self.device, self.params, k.grid_blocks,
+                             k.threads_per_block, k.regs_per_thread,
+                             k.resident_blocks_per_sm, k.flops, k.gmem_bytes,
+                             k.smem_traffic_bytes, k.smem_conflict_factor,
+                             k.overlap, k.ilp, k.coalesce_factor)[0]
+
     def latency(self, stats: KernelStats) -> float:
         """Seconds for one launch of the kernel."""
         return self.estimate(stats).latency
@@ -126,3 +110,61 @@ class PerfModel:
 def estimate_latency(stats: KernelStats, device: DeviceSpec = RTX3090) -> float:
     """Convenience one-shot latency estimate in seconds."""
     return PerfModel(device).latency(stats)
+
+
+def _launch_terms(ops: Ops, device: DeviceSpec, params: ModelParams,
+                  grid_blocks, threads_per_block, regs_per_thread,
+                  resident_blocks_per_sm, flops, gmem_bytes,
+                  smem_traffic_bytes, smem_conflict_factor, overlap, ilp,
+                  coalesce_factor):
+    """The latency formula, over scalars (:data:`SCALAR`) or one array row
+    per launch (:data:`ARRAY`).  ``resident_blocks_per_sm`` is the
+    occupancy limit of the block footprint (:meth:`PerfModel.occupancy`).
+
+    Returns ``(latency, compute_time, memory_time, smem_time, occupancy,
+    concurrent_blocks_per_sm, waves)``.
+    """
+    ceil, sqrt, minimum, maximum, where, to_float = ops
+    spilled = maximum(0, regs_per_thread - device.max_registers_per_thread)
+
+    # 1. actual concurrency: the grid may not fill the resource limit
+    concurrent_per_sm = minimum(resident_blocks_per_sm,
+                                ceil(grid_blocks / device.num_sms))
+    warps_per_block = ceil(threads_per_block / device.warp_size)
+    occupancy = minimum(1.0, concurrent_per_sm * warps_per_block
+                        / device.max_warps_per_sm)
+
+    # 2. occupancy-driven efficiencies, discounted by per-thread ILP
+    root_ilp = sqrt(maximum(1.0, ilp))
+    c_demand = maximum(params.min_occ_demand, params.compute_occ_demand / root_ilp)
+    m_demand = maximum(params.min_occ_demand, params.memory_occ_demand / root_ilp)
+    eff_c = params.base_compute_efficiency * minimum(1.0, occupancy / c_demand)
+    eff_m = params.base_memory_efficiency * minimum(1.0, occupancy / m_demand)
+    # spilled registers slow compute down (dividing by 1.0 is exact)
+    eff_c = eff_c / (1.0 + params.spill_penalty_per_reg * spilled)
+    eff_c = maximum(params.divergence_floor, eff_c)
+    eff_m = maximum(params.divergence_floor, eff_m)
+
+    # 3. roofline terms (aggregate over the whole launch)
+    t_compute = flops / (device.peak_flops * eff_c)
+    t_memory = gmem_bytes / (device.peak_bandwidth * eff_m * coalesce_factor)
+    t_smem = (smem_traffic_bytes * smem_conflict_factor
+              / device.peak_shared_bandwidth)
+
+    # 4. pipeline overlap between DRAM traffic and compute
+    t_body = (maximum(t_compute, t_memory)
+              + (1.0 - overlap) * minimum(t_compute, t_memory))
+    t_body = maximum(t_body, t_smem)
+
+    # 5. wave quantization: latency rounds up to whole waves of resident
+    #    blocks; a fractional wave also covers idle-SM underutilization
+    capacity = concurrent_per_sm * device.num_sms
+    waves = grid_blocks / capacity
+    whole_waves = ceil(waves)
+    t_body = t_body * (whole_waves / waves)
+
+    # 6. fixed costs
+    t_body = maximum(t_body, params.min_block_latency * whole_waves)
+    latency = t_body + device.kernel_launch_overhead
+    return (latency, t_compute, t_memory, t_smem, occupancy,
+            concurrent_per_sm, waves)

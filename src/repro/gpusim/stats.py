@@ -10,10 +10,11 @@ the level at which the paper's arguments live (double buffering changes
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
-__all__ = ['KernelStats', 'LaunchStats']
+import numpy as np
+
+__all__ = ['KernelStats', 'KernelBatch', 'LaunchStats']
 
 #: pipeline overlap factors (fraction of min(Tc, Tm) hidden by overlap)
 OVERLAP_NONE = 0.15          # single-buffered: sync-separated load/compute phases
@@ -62,6 +63,36 @@ class KernelStats:
             gmem_write_bytes=self.gmem_write_bytes * factor,
             smem_traffic_bytes=self.smem_traffic_bytes * factor,
         )
+
+
+@dataclass(frozen=True)
+class KernelBatch:
+    """Many launches of one kernel as a struct of arrays, one row per launch
+    (e.g. one row per tuning candidate).  Fields mirror :class:`KernelStats`
+    and may be arrays or scalars broadcast over the rows;
+    ``resident_blocks_per_sm`` is the occupancy limit of each row's block
+    footprint (:meth:`repro.gpusim.perfmodel.PerfModel.occupancy`), which
+    stands in for the shared-memory and register fields."""
+
+    grid_blocks: np.ndarray
+    threads_per_block: np.ndarray
+    regs_per_thread: np.ndarray
+    resident_blocks_per_sm: np.ndarray
+    flops: np.ndarray
+    gmem_bytes: np.ndarray
+    smem_traffic_bytes: np.ndarray
+    overlap: np.ndarray
+    ilp: np.ndarray
+    coalesce_factor: float = 1.0
+    smem_conflict_factor: float = 1.0
+
+    def launchable(self) -> np.ndarray:
+        """Rows that pass :class:`KernelStats`' launch validation and fit
+        on an SM at least once."""
+        return ((self.grid_blocks > 0) & (self.threads_per_block > 0)
+                & (0.0 <= self.overlap) & (self.overlap <= 1.0)
+                & (self.coalesce_factor > 0) & (self.coalesce_factor <= 1)
+                & (self.resident_blocks_per_sm >= 1))
 
 
 @dataclass(frozen=True)

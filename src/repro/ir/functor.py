@@ -271,16 +271,22 @@ class IRRewriter(NodeFunctor):
         return s if expr is s.expr else EvaluateStmt(expr)
 
 
+class _Collector(IRVisitor):
+    """Pre-order collection of the sub-nodes of some type(s)."""
+
+    def __init__(self, node_types: Type | tuple):
+        super().__init__()
+        self.node_types = node_types
+        self.found: list = []
+
+    def visit(self, n):
+        if isinstance(n, self.node_types):
+            self.found.append(n)
+        return NodeFunctor.visit(self, n)
+
+
 def collect(node, node_types: Type | tuple) -> list:
     """Collect all sub-nodes of the given type(s) in pre-order."""
-
-    found: list = []
-
-    class Collector(IRVisitor):
-        def visit(self, n):
-            if isinstance(n, node_types):
-                found.append(n)
-            return super().visit(n)
-
-    Collector().visit(node)
-    return found
+    collector = _Collector(node_types)
+    collector.visit(node)
+    return collector.found

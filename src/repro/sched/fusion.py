@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 from ..ir import Function, IRModule, Var, tensor_var
 from ..ir.compute import GridCompute, TensorInput
 from ..ir.expr import Expr, TensorElement
-from ..ir.functor import IRRewriter, collect
+from ..ir.functor import IRRewriter, IRVisitor, collect
 from ..ir.stmt import BufferStoreStmt
 from ..ir.task import Task
 from ..ir.tools import substitute
@@ -38,26 +38,31 @@ class FusionError(Exception):
     pass
 
 
+class _TensorInputCollector(IRVisitor):
+    """Distinct :class:`TensorInput` leaves, descending into each nested
+    :class:`GridCompute` once."""
+
+    def __init__(self):
+        super().__init__()
+        self.found: list[TensorInput] = []
+        self.visited: set[int] = set()
+
+    def visit_TensorInput(self, e):
+        if all(e is not f for f in self.found):
+            self.found.append(e)
+
+    def visit_GridCompute(self, e):
+        if id(e) not in self.visited:
+            self.visited.add(id(e))
+            self.visit(e.value)
+
+
 def collect_tensor_inputs(expr: Expr) -> list[TensorInput]:
     """All :class:`TensorInput` leaves of a compute expression, descending
     through nested :class:`GridCompute` definitions (inlined prologue chains)."""
-    from ..ir.functor import IRVisitor
-
-    found: list[TensorInput] = []
-    visited: set[int] = set()
-
-    class Collector(IRVisitor):
-        def visit_TensorInput(self, e):
-            if all(e is not f for f in found):
-                found.append(e)
-
-        def visit_GridCompute(self, e):
-            if id(e) not in visited:
-                visited.add(id(e))
-                self.visit(e.value)
-
-    Collector().visit(expr)
-    return found
+    collector = _TensorInputCollector()
+    collector.visit(expr)
+    return collector.found
 
 
 @dataclass(frozen=True)

@@ -24,19 +24,25 @@ input-centric spaces have no valid tiling at all (Figure 19).
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, fields
+from typing import Sequence
+
+import numpy as np
 
 from ..core.schedule import MatmulSchedule
 from ..core.taskmap import auto_map, repeat, spatial
-from ..core.space import matmul_schedule_space
+from ..gpusim.arith import ARRAY, EXACT_INT_LIMIT, SCALAR, Ops
 from ..gpusim.device import DeviceSpec, RTX3090
-from ..gpusim.stats import (KernelStats, OVERLAP_DOUBLE_BUFFER, OVERLAP_NONE)
+from ..gpusim.perfmodel import PerfModel
+from ..gpusim.stats import (KernelBatch, KernelStats, OVERLAP_DOUBLE_BUFFER,
+                            OVERLAP_NONE)
 from ..ir import (FunctionBuilder, Function, IRModule, f32, thread_idx, block_idx,
                   if_then_else, logical_and, min_expr, Var, convert)
 from ..ir.compute import compute, reduce, tensor_input
 from ..ir.task import Task
 
-__all__ = ['matmul_task', 'build_matmul_module', 'matmul_stats', 'MatmulSchedule']
+__all__ = ['matmul_task', 'build_matmul_module', 'matmul_stats',
+           'matmul_stats_batch', 'ScheduleColumns', 'MatmulSchedule']
 
 
 def matmul_task(m: int, n: int, k: int, name: str = 'matmul') -> Task:
@@ -259,46 +265,21 @@ def matmul_stats(m: int, n: int, k: int, sched: MatmulSchedule,
     64×64 tile does the work of 2048×2048, the tail being predicated away —
     the hardware-centric trade-off of §4.3.  ``extra_*_bytes`` account for
     fused prologue/epilogue traffic (extra inputs read, different output
-    written).
+    written).  :func:`matmul_stats_batch` evaluates the same terms for a
+    whole candidate list at once.
     """
     if batch > 1 and sched.split_k > 1:
         raise ValueError('batched matmul cannot use split-k')
-    bm, bn, bk = sched.block_m, sched.block_n, sched.block_k
-    gx, gy, gz = sched.grid(m, n)
-    threads = sched.threads
-    k_per_split = math.ceil(k / sched.split_k)
-    k_tiles = math.ceil(k_per_split / bk)
-    blocks = gx * gy * gz * batch
-
-    flops = 2.0 * blocks * bm * bn * k_tiles * bk
-    # DRAM traffic: every block streams its A and B strips.  When a whole
-    # input matrix fits in L2, the strips re-read by other tiles hit cache
-    # (this is what makes skinny transformer matmuls bandwidth-reasonable).
-    l2_budget = device.l2_cache_bytes * 0.6
-    reads_a = float(blocks) * bm * bk * k_tiles * 4        # gx copies of padded A
-    reads_b = float(blocks) * bk * bn * k_tiles * 4        # gy copies of padded B
-    unique_a = float(gy * bm) * (gz * k_tiles * bk) * 4 * batch
-    unique_b = float(gx * bn) * (gz * k_tiles * bk) * 4 * batch
-    if unique_a <= l2_budget:
-        reads_a = unique_a
-    if unique_b <= l2_budget:
-        reads_b = unique_b
-    gmem_read = reads_a + reads_b + extra_read_bytes
-    out_bytes = gx * bn * gy * bm * 4 * batch
     wom, won = sched.warp_outer
     tm, tn = sched.thread_tile
-    smem_read = blocks * k_tiles * threads * (wom * tm + won * tn) * bk * 4
-    smem_traffic = smem_read + float(blocks) * (bm * bk + bk * bn) * 4 * k_tiles
-
-    if sched.split_k == 1:
-        gmem_write = out_bytes + extra_write_bytes
-    else:
-        gmem_write = out_bytes * gz  # partial products to the workspace
-
+    blocks, flops, gmem_read, gmem_write, smem_traffic, _ = _main_terms(
+        SCALAR, m, n, k, sched.block_m, sched.block_n, sched.block_k,
+        sched.split_k, sched.threads, wom * tm + won * tn, batch,
+        device.l2_cache_bytes, extra_read_bytes, extra_write_bytes)
     main = KernelStats(
         name=f'{name}_{m}x{n}x{k}_{sched.short_repr()}',
         grid_blocks=blocks,
-        threads_per_block=threads,
+        threads_per_block=sched.threads,
         flops=flops,
         gmem_read_bytes=gmem_read,
         gmem_write_bytes=gmem_write,
@@ -311,17 +292,173 @@ def matmul_stats(m: int, n: int, k: int, sched: MatmulSchedule,
     )
     kernels = [main]
     if sched.split_k > 1:
-        reduce_threads = 256
+        grid, flops, gmem_read, gmem_write, _ = _reduce_terms(
+            SCALAR, m, n, sched.split_k, extra_write_bytes)
         kernels.append(KernelStats(
             name=f'{name}_splitk_reduce',
-            grid_blocks=math.ceil(m * n / reduce_threads),
-            threads_per_block=reduce_threads,
-            flops=float(gz * m * n),
-            gmem_read_bytes=float(gz * m * n * 4),
-            gmem_write_bytes=float(m * n * 4) + extra_write_bytes,
-            regs_per_thread=24,
+            grid_blocks=grid,
+            threads_per_block=_REDUCE_THREADS,
+            flops=flops,
+            gmem_read_bytes=gmem_read,
+            gmem_write_bytes=gmem_write,
+            regs_per_thread=_REDUCE_REGS,
             ilp=4.0,
             overlap=OVERLAP_NONE,
             is_memory_bound_hint=True,
         ))
     return kernels
+
+
+#: launch shape of the split-k reduce kernel (see _build_split_k_reduce)
+_REDUCE_THREADS = 256
+_REDUCE_REGS = 24
+
+
+def _main_terms(ops: Ops, m, n, k, bm, bn, bk, split_k, threads, frags, batch,
+                l2_cache_bytes, extra_read_bytes, extra_write_bytes):
+    """Work terms of the main kernel, over one schedule (:data:`SCALAR`) or
+    schedule columns (:data:`ARRAY`).  ``frags`` is the per-thread A+B
+    fragment length ``wom·tm + won·tn``.
+
+    Returns ``(grid_blocks, flops, gmem_read, gmem_write, smem_traffic,
+    widest)``; ``widest`` bounds every integer term (for the exactness check
+    of the array path).
+    """
+    ceil, sqrt, minimum, maximum, where, to_float = ops
+    gx, gy, gz = ceil(n / bn), ceil(m / bm), split_k
+    k_per_split = ceil(k / split_k)
+    k_tiles = ceil(k_per_split / bk)
+    blocks = gx * gy * gz * batch
+
+    flops = 2.0 * blocks * bm * bn * k_tiles * bk
+    # DRAM traffic: every block streams its A and B strips.  When a whole
+    # input matrix fits in L2, the strips re-read by other tiles hit cache
+    # (this is what makes skinny transformer matmuls bandwidth-reasonable).
+    l2_budget = l2_cache_bytes * 0.6
+    reads_a = to_float(blocks) * bm * bk * k_tiles * 4     # gx copies of padded A
+    reads_b = to_float(blocks) * bk * bn * k_tiles * 4     # gy copies of padded B
+    unique_a = to_float(gy * bm) * (gz * k_tiles * bk) * 4 * batch
+    unique_b = to_float(gx * bn) * (gz * k_tiles * bk) * 4 * batch
+    reads_a = where(unique_a <= l2_budget, unique_a, reads_a)
+    reads_b = where(unique_b <= l2_budget, unique_b, reads_b)
+    gmem_read = reads_a + reads_b + extra_read_bytes
+    out_bytes = gx * bn * gy * bm * 4 * batch
+    smem_read = blocks * k_tiles * threads * frags * bk * 4
+    smem_traffic = smem_read + to_float(blocks) * (bm * bk + bk * bn) * 4 * k_tiles
+
+    partial_bytes = out_bytes * gz  # split-k: partial products to the workspace
+    gmem_write = where(split_k == 1, out_bytes + extra_write_bytes, partial_bytes)
+    return (blocks, flops, gmem_read, gmem_write, smem_traffic,
+            maximum(smem_read, partial_bytes))
+
+
+def _reduce_terms(ops: Ops, m, n, split_k, extra_write_bytes):
+    """Work terms of the split-k reduce kernel: ``(grid_blocks, flops,
+    gmem_read, gmem_write, widest)``, as :func:`_main_terms`."""
+    ceil, sqrt, minimum, maximum, where, to_float = ops
+    partials = split_k * m * n
+    return (ceil(m * n / _REDUCE_THREADS), to_float(partials),
+            to_float(partials * 4), to_float(m * n * 4) + extra_write_bytes,
+            partials * 4)
+
+
+@dataclass(frozen=True)
+class ScheduleColumns:
+    """Matmul schedules as a struct of arrays, one row per schedule: one
+    int64 column per quantity the work terms read, plus each schedule's
+    occupancy limit on the device the columns were built for.
+
+    Every column depends only on (device, schedule), so a tuner builds them
+    once per candidate list and takes row subsets with :meth:`take`.
+    """
+
+    block_m: np.ndarray
+    block_n: np.ndarray
+    block_k: np.ndarray
+    split_k: np.ndarray
+    threads: np.ndarray
+    frags: np.ndarray               # wom·tm + won·tn
+    thread_tile: np.ndarray         # tm·tn, the kernel's ILP
+    double_buffer: np.ndarray       # 0 / 1
+    regs_per_thread: np.ndarray
+    resident_blocks_per_sm: np.ndarray
+
+    @classmethod
+    def build(cls, schedules: Sequence[MatmulSchedule],
+              model: PerfModel) -> 'ScheduleColumns':
+        rows = np.array([_schedule_row(s, model) for s in schedules],
+                        dtype=np.int64).reshape(len(schedules), len(fields(cls)))
+        return cls(*rows.T)
+
+    def take(self, rows) -> 'ScheduleColumns':
+        """The columns of the given row indices, in that order."""
+        return ScheduleColumns(*(getattr(self, f.name)[rows]
+                                 for f in fields(self)))
+
+
+def _schedule_row(s: MatmulSchedule, model: PerfModel) -> tuple:
+    wom, won = s.warp_outer
+    tm, tn = s.thread_tile
+    threads = s.threads
+    resident = (model.occupancy(threads, s.smem_bytes, s.regs_per_thread)
+                .resident_blocks_per_sm if threads > 0 else 0)
+    return (s.block_m, s.block_n, s.block_k, s.split_k, threads,
+            wom * tm + won * tn, tm * tn, s.double_buffer,
+            s.regs_per_thread, resident)
+
+
+def matmul_stats_batch(m: int, n: int, k: int, cols: ScheduleColumns,
+                       extra_read_bytes: float = 0.0,
+                       extra_write_bytes: float = 0.0,
+                       batch: int = 1,
+                       device: DeviceSpec = RTX3090,
+                       ) -> tuple[KernelBatch, np.ndarray, KernelBatch]:
+    """:func:`matmul_stats` for every row of ``cols`` in one array pass.
+
+    Returns ``(main, split_rows, reduce)``: the main kernel of every row;
+    the indices of the split-k rows; and their reduce kernels, one row per
+    split-k row.  Rows with a non-positive tile extent, split-k on a
+    batched problem, or an integer term of 2**53 or more come out with
+    ``grid_blocks == 0``, so :meth:`KernelBatch.launchable` rejects them;
+    :func:`matmul_stats` on such a row raises the precise error or, for a
+    wide integer term, computes the exact value.
+    """
+    with np.errstate(all='ignore'):
+        blocks, flops, gmem_read, gmem_write, smem_traffic, widest = \
+            _main_terms(ARRAY, m, n, k, cols.block_m, cols.block_n,
+                        cols.block_k, cols.split_k, cols.threads, cols.frags,
+                        batch, device.l2_cache_bytes, extra_read_bytes,
+                        extra_write_bytes)
+        split_rows = np.flatnonzero(cols.split_k > 1)
+        gz = cols.split_k[split_rows]
+        grid, r_flops, r_read, r_write, r_widest = _reduce_terms(
+            ARRAY, m, n, gz, extra_write_bytes)
+    ok = ((cols.block_m > 0) & (cols.block_n > 0) & (cols.block_k > 0)
+          & (cols.split_k > 0) & (np.abs(widest) < EXACT_INT_LIMIT)
+          & ((batch == 1) | (cols.split_k == 1)))
+    ok[split_rows] &= np.abs(r_widest) < EXACT_INT_LIMIT
+    main = KernelBatch(
+        grid_blocks=np.where(ok, blocks, 0),
+        threads_per_block=cols.threads,
+        regs_per_thread=cols.regs_per_thread,
+        resident_blocks_per_sm=cols.resident_blocks_per_sm,
+        flops=flops,
+        gmem_bytes=gmem_read + gmem_write,
+        smem_traffic_bytes=smem_traffic,
+        overlap=np.where(cols.double_buffer, OVERLAP_DOUBLE_BUFFER,
+                         OVERLAP_NONE),
+        ilp=cols.thread_tile,
+    )
+    reduce = KernelBatch(
+        grid_blocks=np.full(len(split_rows), grid, dtype=np.float64),
+        threads_per_block=_REDUCE_THREADS,
+        regs_per_thread=_REDUCE_REGS,
+        resident_blocks_per_sm=PerfModel(device).occupancy(
+            _REDUCE_THREADS, 0, _REDUCE_REGS).resident_blocks_per_sm,
+        flops=r_flops,
+        gmem_bytes=r_read + r_write,
+        smem_traffic_bytes=0.0,
+        overlap=OVERLAP_NONE,
+        ilp=4.0,
+    )
+    return main, split_rows, reduce
