@@ -26,7 +26,8 @@ either fleet flag to run the reduced experiments; each path finishes in
 well under ten seconds.  ``--smoke`` also emits the machine-readable
 ``BENCH_serving.json`` perf record (``--bench-out`` overrides the path,
 ``--trace-out`` additionally exports a Perfetto-viewable Chrome trace of
-the dynamic run); ``python -m repro.obs.compare`` diffs two such records
+the dynamic run, or with ``--decode`` or ``--lifecycle`` of the decode or
+autoscaled fleet run); ``python -m repro.obs.compare`` diffs two such records
 against their noise bands.  Every smoke mode also validates the committed
 ``examples/deployment_spec.json`` through the spec CLI
 (``python -m repro.serve.deployment --validate``), so the example spec and
@@ -271,17 +272,20 @@ def _check_lifecycle(autoscale, scaleup):
     assert scaleup.cold_post_p99_ms <= scaleup.slo_p99_ms
 
 
-def _run_lifecycle(smoke: bool) -> str:
-    """Both lifecycle experiments at one scale, checked and formatted."""
+def _run_lifecycle(smoke: bool, telemetry: Telemetry = None) -> str:
+    """Both lifecycle experiments at one scale, checked and formatted;
+    ``telemetry`` records the autoscaled fleet run."""
     if smoke:
-        autoscale = run_autoscaling(slo_p99_ms=1.5, smoke=True)
+        autoscale = run_autoscaling(slo_p99_ms=1.5, smoke=True,
+                                    telemetry=telemetry)
         scaleup = run_scaleup_warmup(slo_p99_ms=2.0, smoke=True)
     else:
         # full-mode SLOs sit between the n-1 and n replica p99 plateaus of
         # the ResNet-50 + Bert pair, so the static walk lands on a real
         # crest size (3 replicas) rather than the first config tried
         autoscale = run_autoscaling(slo_p99_ms=30.0, buckets=(1, 2, 4, 8),
-                                    offered_peak_factor=0.7)
+                                    offered_peak_factor=0.7,
+                                    telemetry=telemetry)
         scaleup = run_scaleup_warmup(slo_p99_ms=60.0, buckets=(1, 2, 4, 8),
                                      overload_factor=1.1)
     _check_lifecycle(autoscale, scaleup)
@@ -463,10 +467,18 @@ def fleet_smoke() -> str:
     return _run_fleet(smoke=True)
 
 
-def lifecycle_smoke() -> str:
-    """Reduced lifecycle experiments (tiny transformer pair, <10s)."""
+def lifecycle_smoke(trace_out: str = None) -> str:
+    """Reduced lifecycle experiments (tiny transformer pair, <10s).
+
+    ``trace_out`` exports the autoscaled fleet run as Chrome trace-event
+    JSON (replica tracks, joins and drains on the lifecycle track)."""
     _validate_example_spec()
-    return _run_lifecycle(smoke=True)
+    telemetry = Telemetry()
+    text = _run_lifecycle(smoke=True, telemetry=telemetry)
+    telemetry.tracer.assert_invariants()
+    if trace_out is not None:
+        telemetry.write_chrome_trace(trace_out)
+    return text
 
 
 def packing_smoke() -> str:
@@ -496,8 +508,10 @@ def main(argv=None) -> int:
                              '(default: repo-root BENCH_serving.json, the '
                              'committed baseline location)')
     parser.add_argument('--trace-out', default=None, metavar='PATH',
-                        help='with --smoke, export the dynamic run as '
-                             'Chrome trace-event JSON (open in Perfetto)')
+                        help='with --smoke, export a run as Chrome '
+                             'trace-event JSON (open in Perfetto): the '
+                             'dynamic run, with --decode the continuous '
+                             'run, with --lifecycle the autoscaled fleet')
     args = parser.parse_args(argv)
     if args.decode:
         if args.smoke:
@@ -521,8 +535,8 @@ def main(argv=None) -> int:
                 write_result('serving_fleet', text)
             sections.append(text)
         if args.lifecycle:
-            text = (lifecycle_smoke() if args.smoke
-                    else _run_lifecycle(smoke=False))
+            text = (lifecycle_smoke(trace_out=args.trace_out)
+                    if args.smoke else _run_lifecycle(smoke=False))
             if not args.smoke:
                 write_result('serving_lifecycle', text)
             sections.append(text)

@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from ..gpusim.device import LAPTOP_GPU, RTX3090, DeviceSpec
-from ..obs import percentile
+from ..obs import Telemetry, percentile
 from ..serve import (AutoscaleSpec, BatchingSpec, CacheSpec, Deployment,
                      DeploymentSpec, PlacementSpec, ReplicaGroupSpec,
                      ServeStats, diurnal_trace, poisson_trace)
@@ -91,7 +91,8 @@ def run_autoscaling(slo_p99_ms: float, peak_replicas: int = 3,
                     max_wait: float = 1e-3, max_queue: int = 64,
                     max_rejection_rate: float = 0.01,
                     buckets=(1, 2), seed: int = 0,
-                    smoke: bool = False) -> AutoscaleReport:
+                    smoke: bool = False,
+                    telemetry: Optional[Telemetry] = None) -> AutoscaleReport:
     """Diurnal trace: cheapest static fleet vs a schedule-following autoscaler.
 
     The offered load swells sinusoidally from ``base_factor`` × one
@@ -106,6 +107,8 @@ def run_autoscaling(slo_p99_ms: float, peak_replicas: int = 3,
     of each crest, and drains back down after it, warming every join from
     the shared cache file (zero tuning).  Both configurations face the
     identical trace; the report compares their replica-seconds bills.
+    ``telemetry`` records the autoscaled run (joins, drains, every request
+    and batch) for Chrome-trace export.
     """
     model_cfgs = FLEET_SMOKE_MODELS if smoke else FULL_MODELS
     built: dict = {}
@@ -170,7 +173,8 @@ def run_autoscaling(slo_p99_ms: float, peak_replicas: int = 3,
                 interval=period / 50, cooldown=0.0,
                 scale_increment=max(1, crest - trough),
                 device=RTX3090.name))
-        result = Deployment(elastic, builders=builders).run(trace)
+        result = Deployment(elastic, builders=builders).run(
+            trace, telemetry=telemetry)
         report.autoscaled = result.stats(cold_start_seconds=0.0)
         report.num_joins = sum(1 for e in result.events if e.kind == 'join')
         report.num_retires = sum(1 for e in result.events

@@ -25,7 +25,7 @@ from .metrics import (Counter, Gauge, Histogram, Measurement,
                       MetricsRegistry, format_metrics_report)
 from .tracing import (LIFECYCLE_TRACK, TERMINAL_KINDS, BatchSpan, Instant,
                       RequestSpan, Tracer)
-from .telemetry import Telemetry
+from .telemetry import NULL_TELEMETRY, NullTelemetry, Telemetry
 from .bench import BenchMetric, BenchResult
 # binds the *function* over the submodule attribute of the same name, so
 # `from repro.obs import compare` is callable regardless of import order
@@ -41,7 +41,7 @@ __all__ = [
     'Tracer', 'RequestSpan', 'BatchSpan', 'Instant', 'TERMINAL_KINDS',
     'LIFECYCLE_TRACK',
     # telemetry facade
-    'Telemetry',
+    'Telemetry', 'NullTelemetry', 'NULL_TELEMETRY',
     # trajectory harness
     'BenchMetric', 'BenchResult', 'Comparison', 'MetricDelta', 'compare',
 ]

@@ -16,9 +16,9 @@ double-counts a live one.
 
 One ``Telemetry`` records one run: pass it to ``run(trace, telemetry=...)``
 (request ids restart per trace, so sharing one across runs would collide
-span ids).  Everything degrades gracefully — every simulator call site is
-``if telemetry is not None``-guarded, and a ``Telemetry(tracer=None)``
-keeps metrics without span records.
+span ids).  A run without one records into :data:`NULL_TELEMETRY`, a
+:class:`NullTelemetry` whose verbs do nothing, so the simulators call their
+verbs unconditionally instead of branching on whether a run is observed.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ from typing import Optional
 from .metrics import MetricsRegistry
 from .tracing import LIFECYCLE_TRACK, Tracer
 
-__all__ = ['Telemetry']
+__all__ = ['Telemetry', 'NullTelemetry', 'NULL_TELEMETRY']
 
 
 class Telemetry:
@@ -201,3 +201,28 @@ class Telemetry:
         with open(path, 'w') as f:
             json.dump(self.chrome_trace(), f, indent=1)
         return path
+
+
+class NullTelemetry:
+    """The telemetry of an unobserved run: every verb is a no-op.
+
+    It has no metrics and no tracer (both ``None``) and is not a
+    :class:`Telemetry` subclass, so an unobserved run never enters the
+    recording code.
+    """
+
+    tracer = None
+    metrics = None
+
+    def _ignore(self, *args, **kwargs) -> None:
+        pass
+
+    arrival = reject = lost = requeue = _ignore
+    batch_formed = batch_done = _ignore
+    decode_join = decode_step = decode_complete = _ignore
+    lifecycle_event = autoscale_decision = _ignore
+    queue_depth = replicas_serving = memory_committed = _ignore
+
+
+#: the shared no-op telemetry (stateless, so one instance serves every run)
+NULL_TELEMETRY = NullTelemetry()

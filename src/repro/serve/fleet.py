@@ -34,21 +34,20 @@ Time is entirely simulated; runs are deterministic and replayable.
 """
 from __future__ import annotations
 
-import heapq
-import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from ..gpusim.device import DeviceSpec
-from ..obs import Telemetry, percentile
+from ..obs import NULL_TELEMETRY, Telemetry, percentile
 from ..runtime.cache import ScheduleCache
 from .batcher import Batch, BatchingPolicy, DynamicBatcher
 from .lifecycle import Autoscaler, FailureEvent, LifecycleEvent
 from .memory import MemoryModel, footprint_from_graphs, format_bytes
 from .placement import PlacementPolicy, RoundRobinPlacement
 from .registry import ModelRegistry, RegisteredModel, bucket_ladder
-from .simulator import BATCH_OVERHEAD_SECONDS, CompletedRequest
+from .simulator import (BATCH_OVERHEAD_SECONDS, CompletedRequest,
+                        DispatchEngine)
 from .stats import ServeStats, compute_stats, format_serving_report
 from .trace import Request
 
@@ -508,23 +507,19 @@ class FleetResult:
             cold_start_seconds = (self.fleet.total_compile_seconds
                                   - self.scale_up_tuning_seconds
                                   - self.rehome_tuning_seconds)
-        return compute_stats(self.completions, self.batches,
-                             registry=self.fleet,
-                             cold_start_seconds=cold_start_seconds,
-                             rejected=self.rejected, lost=self.lost,
-                             num_requeued=self.num_requeued,
-                             replica_seconds=self.replica_seconds,
-                             scale_up_tuning_seconds=self.scale_up_tuning_seconds,
-                             live_metrics=(telemetry.metrics
-                                           if telemetry is not None else None),
-                             peak_memory_bytes={
-                                 r.label: r.memory.peak_committed_bytes
-                                 for r in self.fleet.replicas
-                                 if r.memory is not None},
-                             memory_capacity_bytes={
-                                 r.label: r.memory.capacity_bytes
-                                 for r in self.fleet.replicas
-                                 if r.memory is not None})
+        return compute_stats(self, self.fleet, cold_start_seconds, telemetry)
+
+    @property
+    def peak_memory_bytes(self) -> dict[str, int]:
+        """Replica label -> high-water mark of committed DRAM bytes."""
+        return {r.label: r.memory.peak_committed_bytes
+                for r in self.fleet.replicas if r.memory is not None}
+
+    @property
+    def memory_capacity_bytes(self) -> dict[str, int]:
+        """Replica label -> DRAM capacity bytes."""
+        return {r.label: r.memory.capacity_bytes
+                for r in self.fleet.replicas if r.memory is not None}
 
     def per_replica(self) -> list[dict]:
         """One summary dict per replica: requests, batches, occupancy,
@@ -558,15 +553,15 @@ class FleetResult:
         return rows
 
 
-class FleetSimulator:
+class FleetSimulator(DispatchEngine):
     """Route a request trace across a fleet's replicas and batch per GPU.
 
-    One shared discrete-event loop drives every replica: arrivals are routed
-    by the fleet's placement policy (and admission-controlled against the
-    chosen replica's queue bound), each replica runs its own
-    :class:`DynamicBatcher`, and a replica dispatches whenever it is idle
-    and a batch is ready — the single-GPU simulator's three-event design,
-    with every event carrying its replica.
+    The dynamic-batching step of :class:`~repro.serve.simulator.DispatchEngine`
+    (the single-GPU simulator is its one-replica case) runs on every
+    replica, in the one event loop and with the failure handling of
+    :class:`~repro.serve.engine.ReplicaEngine`.  Arrivals are routed by the
+    fleet's placement policy and admission-controlled against the chosen
+    replica's queue bound.
 
     Lifecycle (both optional):
 
@@ -597,26 +592,28 @@ class FleetSimulator:
                  batch_overhead: float = BATCH_OVERHEAD_SECONDS,
                  autoscaler: Optional[Autoscaler] = None,
                  failures: Optional[Sequence[FailureEvent]] = None):
-        self.fleet = fleet
         # a fresh default per instance — a module-load-time shared default
         # would alias every simulator constructed without a policy
-        self.policy = policy if policy is not None else BatchingPolicy()
-        self.batch_overhead = batch_overhead
+        super().__init__(policy if policy is not None else BatchingPolicy(),
+                         batch_overhead)
+        self.fleet = fleet
         self.autoscaler = autoscaler
         self.failures = tuple(failures) if failures is not None else ()
-        self._batchers: list[DynamicBatcher] = []
-        self._gpu_free_at: list[float] = []
-        self._telemetry: Optional[Telemetry] = None
+
+    @property
+    def _batchers(self) -> list[DynamicBatcher]:
+        """Each replica's batcher, by replica index."""
+        return [lane.batcher for lane in self.lanes]
 
     # -- load view (consumed by placement and autoscaling policies) ------------
 
     def queued_samples(self, replica: int) -> int:
         """Samples currently queued on ``replica`` (all its models)."""
-        return self._batchers[replica].pending()
+        return self.lanes[replica].batcher.pending()
 
     def backlog_seconds(self, replica: int, now: float) -> float:
         """Remaining busy seconds of ``replica``'s in-flight batch."""
-        return max(0.0, self._gpu_free_at[replica] - now)
+        return max(0.0, self.lanes[replica].gpu_free_at - now)
 
     def serving_replicas(self) -> list[int]:
         """Indices of replicas currently routable (state ``'serving'``)."""
@@ -661,59 +658,30 @@ class FleetSimulator:
 
     # -- simulation ------------------------------------------------------------
 
-    def service_time(self, replica: int, model: str, bucket: int) -> float:
-        """Simulated seconds one dispatch holds ``replica``'s GPU."""
-        registry = self.fleet.replicas[replica].registry
-        return registry[model].latency(bucket) + self.batch_overhead
-
-    def _push(self, when: float, kind: str, replica: int, payload=None) -> None:
-        heapq.heappush(self._events,
-                       (when, next(self._seq), kind, replica, payload))
-
     def _event(self, now: float, kind: str, replica: int,
                detail: str = '') -> None:
-        """Record one lifecycle transition — in the run's event log and,
-        when the run carries telemetry, as a control-track instant plus the
-        serving-replica and committed-DRAM gauge samples (lifecycle
-        transitions are exactly the moments those series change)."""
+        """Record one lifecycle transition — in the run's event log, as a
+        control-track instant, and as serving-replica and committed-DRAM
+        gauge samples (lifecycle transitions are exactly the moments those
+        series change)."""
         self._log.append(LifecycleEvent(time=now, kind=kind, replica=replica,
                                         detail=detail))
-        tel = self._telemetry
-        if tel is not None:
-            tel.lifecycle_event(kind, now, replica, detail=detail)
-            tel.replicas_serving(now, len(self.serving_replicas()))
-            for rep in self.fleet.replicas:
-                if rep.memory is not None and rep.is_alive:
-                    tel.memory_committed(now, rep.index,
-                                         rep.memory.committed_bytes)
+        super()._event(now, kind, replica, detail)
+        tel = self.telemetry
+        tel.replicas_serving(now, len(self.serving_replicas()))
+        for rep in self.fleet.replicas:
+            if rep.memory is not None and rep.is_alive:
+                tel.memory_committed(now, rep.index, rep.memory.committed_bytes)
 
-    def _dispatch(self, replica: int, now: float) -> None:
-        """Try to put a ready batch on ``replica``'s (idle, alive) GPU."""
-        if not self.fleet.replicas[replica].is_alive:
-            return
-        batcher = self._batchers[replica]
-        batch = batcher.pop_ready(now)
-        if batch is None:
-            # arm one timer per pending deadline (see ServerSimulator)
-            deadline = batcher.next_deadline()
-            if deadline is not None:
-                when = max(deadline, now)
-                armed = self._armed[replica]
-                if armed is None or when < armed:
-                    self._push(when, 'timer', replica)
-                    self._armed[replica] = when
-            return
-        batch.replica = replica
-        service = self.service_time(replica, batch.model, batch.bucket)
-        self._gpu_free_at[replica] = now + service
-        self._busy[replica] += service
-        self._in_flight[replica] = batch
-        self._batches.append(batch)
-        if self._telemetry is not None:
-            self._telemetry.batch_formed(batch, replica, now,
-                                         queued_after=batcher.pending())
-        self._push(self._gpu_free_at[replica], 'gpu_free', replica,
-                   self._epoch[replica])
+    def _reject(self, request: Request, now: float, replica: int) -> None:
+        self.rejected.append(request)
+        self.telemetry.reject(request, now, replica=replica)
+
+    def _completed(self, lane, batch: Batch, now: float) -> None:
+        if self._track_recent:
+            self._recent.extend((now, (now - request.arrival) * 1e3)
+                                for request in batch.requests)
+        self._maybe_finish_retire(lane.index, now)
 
     def _try_rehome(self, model: str, now: float) -> Optional[int]:
         """Give an orphaned model a live host, or ``None`` if none exists.
@@ -740,8 +708,10 @@ class FleetSimulator:
         if target is None:
             return None
         self._rehome_tuning += self.fleet.host_model(target, model)
-        self._batchers[target].add_model(
-            model, self.fleet.replicas[target].registry[model].bucket_sizes)
+        registry = self.fleet.replicas[target].registry
+        self.lanes[target].batcher.add_model(
+            model, registry[model].bucket_sizes)
+        self._price(self.lanes[target], registry, model)
         self._event(now, 'rehome', target, detail=model)
         return target
 
@@ -762,8 +732,8 @@ class FleetSimulator:
             memory = replica.memory
             if memory is None:
                 continue
-            batcher = self._batchers[target]
-            in_flight = self._in_flight[target]
+            batcher = self.lanes[target].batcher
+            in_flight = self.lanes[target].in_flight
             evictable = []
             for name in list(replica.registry.models):
                 if name == model:
@@ -802,85 +772,28 @@ class FleetSimulator:
             hosts = (target,)
         return self.fleet.placement.choose(request, hosts, self, now)
 
-    def _readmit(self, request: Request, now: float, touched: set) -> None:
-        """Re-admit a drained request after its replica died."""
-        target = self._route(request, now)
-        if target is not None and self._batchers[target].offer(request):
-            self._num_requeued += 1
-            self._requeued_ids.add(request.req_id)
-            touched.add(target)
-            if self._telemetry is not None:
-                self._telemetry.requeue(request, now, target)
-        else:
-            self._lost.append(request)
-            if self._telemetry is not None:
-                self._telemetry.lost(request, now,
-                                     reason='failure:readmit_refused')
-
     def _end_active_span(self, replica: int, now: float) -> None:
         since = self._active_since.pop(replica, None)
         if since is not None:
             self._replica_seconds += now - since
 
-    def _kill(self, replica: int, now: float) -> bool:
-        """Apply a failure kill; returns whether it actually took effect
-        (a dead or never-joined replica makes the kill — and therefore its
-        paired revive — a no-op)."""
-        if replica >= len(self.fleet.replicas):
-            return False   # schedule drawn against a max fleet; never joined
-        rep = self.fleet.replicas[replica]
-        if not rep.is_alive:
-            return False
+    def _abort(self, lane, now: float) -> None:
+        rep = self.fleet.replicas[lane.index]
         if rep.state == 'draining':
             # the failure interrupted a scale-down: remember, so a revive
             # resumes the retirement instead of silently cancelling it
-            self._draining_at_kill.add(replica)
+            self._draining_at_kill.add(lane.index)
         rep.state = 'dead'
         rep.retired_at = now
-        self._epoch[replica] += 1        # invalidates the pending gpu_free
-        self._armed[replica] = None
-        self._end_active_span(replica, now)
-        batch = self._in_flight[replica]
-        self._in_flight[replica] = None
-        if batch is not None:
-            # the GPU died mid-batch: its requests are lost, the unspent
-            # service time is given back, and the batch leaves the dispatch
-            # record — otherwise occupancy/num_batches would count work
-            # that is simultaneously counted in num_lost_to_failure
-            self._busy[replica] -= max(0.0, self._gpu_free_at[replica] - now)
-            self._gpu_free_at[replica] = now
-            self._lost.extend(batch.requests)
-            self._batches.remove(batch)
-            if self._telemetry is not None:
-                for request in batch.requests:
-                    self._telemetry.lost(request, now, replica=replica,
-                                         reason='failure:in_flight')
-        self._killed.add(replica)
-        self._event(now, 'kill', replica)
-        touched: set = set()
-        for request in self._batchers[replica].drain():
-            self._readmit(request, now, touched)
-        for target in sorted(touched):
-            if (now >= self._gpu_free_at[target]
-                    and self._in_flight[target] is None):
-                self._dispatch(target, now)
-        return True
+        self._end_active_span(lane.index, now)
+        super()._abort(lane, now)
 
-    def _revive(self, replica: int, now: float) -> None:
-        if replica >= len(self.fleet.replicas):
-            return
+    def _revive(self, now: float, replica: int, *_) -> None:
         rep = self.fleet.replicas[replica]
-        # only failure kills are repairable; a replica the autoscaler
-        # retired (or that was never down) has left the fleet for good.
-        # (Revives are also only *scheduled* for kills that took effect,
-        # so a no-op kill cannot resurrect an earlier, unrelated outage.)
-        if rep.is_alive or replica not in self._killed:
-            return
-        self._killed.discard(replica)
         rep.retired_at = None
-        self._gpu_free_at[replica] = now
+        self.lanes[replica].gpu_free_at = now
         self._active_since[replica] = now
-        self._event(now, 'revive', replica)
+        super()._revive(now, replica)
         if replica in self._draining_at_kill:
             # it died mid-retirement: resume (and, with its queues drained
             # by the kill, immediately complete) the scale-down instead of
@@ -891,7 +804,7 @@ class FleetSimulator:
         else:
             rep.state = 'serving'
 
-    def _join(self, device: DeviceSpec, now: float) -> None:
+    def _join(self, now: float, _, device: DeviceSpec) -> None:
         if self._cancelled_joins:
             # a later scale-down cancelled this join before it landed (its
             # _pending_joins slot was already released at decision time)
@@ -900,16 +813,10 @@ class FleetSimulator:
         self._pending_joins -= 1
         replica = self.fleet.add_replica(device, now=now)
         self._scale_up_tuning += replica.compile_seconds
-        self._batchers.append(
-            DynamicBatcher(self.policy, replica.registry.bucket_map()))
-        self._gpu_free_at.append(now)
-        self._in_flight.append(None)
-        self._armed.append(None)
-        self._busy.append(0.0)
-        self._epoch.append(0)
+        self._add_lane(replica.registry, now)
         self._active_since[replica.index] = now
-        if self._telemetry is not None and self._telemetry.tracer is not None:
-            self._telemetry.tracer.set_track_name(replica.index, replica.label)
+        if self.telemetry.tracer is not None:
+            self.telemetry.tracer.set_track_name(replica.index, replica.label)
         self._event(now, 'join', replica.index,
                     detail=f'{device.name} +{replica.compile_seconds:.1f}s '
                            f'tuning')
@@ -922,9 +829,11 @@ class FleetSimulator:
 
     def _maybe_finish_retire(self, replica: int, now: float) -> None:
         rep = self.fleet.replicas[replica]
-        if (rep.state == 'draining' and self._in_flight[replica] is None
-                and self._batchers[replica].pending() == 0):
+        lane = self.lanes[replica]
+        if (rep.state == 'draining' and lane.in_flight is None
+                and lane.batcher.pending() == 0):
             rep.state = 'dead'
+            lane.alive = False
             rep.retired_at = now
             self._end_active_span(replica, now)
             self._event(now, 'retire_done', replica)
@@ -940,14 +849,14 @@ class FleetSimulator:
         cap = self.policy.max_queue
         if cap is None:
             return True
-        batcher = self._batchers[victim]
+        batcher = self.lanes[victim].batcher
         for model in batcher.buckets:
             pending = batcher.pending(model)
             if pending == 0:
                 continue
             survivors = [r for r in self.fleet.active_hosts(model)
                          if r != victim and r not in chosen]
-            headroom = sum(max(0, cap - self._batchers[r].pending(model))
+            headroom = sum(max(0, cap - self.lanes[r].batcher.pending(model))
                            for r in survivors)
             if headroom < pending:
                 return False
@@ -975,18 +884,17 @@ class FleetSimulator:
                 chosen.add(replica)
         return victims
 
-    def _autoscale_tick(self, now: float, horizon: float) -> None:
+    def _autoscale_tick(self, now: float, *_) -> None:
         scaler = self.autoscaler
         active = len(self.serving_replicas()) + self._pending_joins
         target = scaler.decide(self, now, active)
-        if self._telemetry is not None:
-            self._telemetry.autoscale_decision(
-                now, active, target, policy=type(scaler.policy).__name__)
+        self.telemetry.autoscale_decision(
+            now, active, target, policy=type(scaler.policy).__name__)
         if target > active:
             for _ in range(target - active):
                 self._pending_joins += 1
-                self._push(now + scaler.config.provision_delay, 'join', -1,
-                           scaler.device)
+                self._push(now + scaler.config.provision_delay, self._join,
+                           -1, scaler.device)
             scaler.record_action(now)
         elif target < active:
             # shed pending (not-yet-landed) joins first: cancelling one
@@ -1005,8 +913,8 @@ class FleetSimulator:
                 self._begin_retire(victim, now)
             if victims or cancelled:     # a fully blocked wish burns nothing
                 scaler.record_action(now)
-        if now + scaler.config.interval <= horizon:
-            self._push(now + scaler.config.interval, 'autoscale', -1)
+        if now + scaler.config.interval <= self._horizon:
+            self._push(now + scaler.config.interval, self._autoscale_tick)
 
     def run(self, trace: Sequence[Request],
             telemetry: Optional[Telemetry] = None) -> FleetResult:
@@ -1030,33 +938,17 @@ class FleetSimulator:
         fleet.placement.reset()
         if self.autoscaler is not None:
             self.autoscaler.reset()
-        self._telemetry = telemetry
-        n = len(fleet.replicas)
-        if telemetry is not None:
-            if telemetry.tracer is not None:
-                for replica in fleet.replicas:
-                    telemetry.tracer.set_track_name(replica.index,
-                                                    replica.label)
-            telemetry.replicas_serving(0.0, len(self.serving_replicas()))
-        self._batchers = [
-            DynamicBatcher(self.policy, replica.registry.bucket_map())
-            for replica in fleet.replicas]
-        self._gpu_free_at = [0.0] * n
-        self._in_flight: list[Optional[Batch]] = [None] * n
-        self._armed: list[Optional[float]] = [None] * n
-        self._busy = [0.0] * n
-        self._epoch = [0] * n
-        self._events: list[tuple] = []
-        self._seq = itertools.count()
-        self._completions: list[CompletedRequest] = []
-        self._batches: list[Batch] = []
-        self._rejected: list[Request] = []
-        self._lost: list[Request] = []
-        self._requeued_ids: set[int] = set()
-        self._num_requeued = 0
+        self._start(telemetry)
+        if self.telemetry.tracer is not None:
+            for replica in fleet.replicas:
+                self.telemetry.tracer.set_track_name(replica.index,
+                                                     replica.label)
+        self.telemetry.replicas_serving(0.0, len(self.serving_replicas()))
+        for replica in fleet.replicas:
+            self._add_lane(replica.registry).alive = replica.is_alive
         self._log: list[LifecycleEvent] = []
-        self._active_since = {i: 0.0 for i in range(n)
-                              if fleet.replicas[i].is_alive}
+        self._active_since = {r.index: 0.0 for r in fleet.replicas
+                              if r.is_alive}
         self._replica_seconds = 0.0
         self._scale_up_tuning = 0.0
         self._rehome_tuning = 0.0
@@ -1067,99 +959,36 @@ class FleetSimulator:
                                           'needs_p99', False))
         self._pending_joins = 0
         self._cancelled_joins = 0
-        self._killed: set[int] = set()
         self._draining_at_kill: set[int] = set()
 
-        horizon = max((r.arrival for r in trace), default=0.0)
-        for request in trace:
-            self._push(request.arrival, 'arrival', -1, request)
+        self._horizon = max((r.arrival for r in trace), default=0.0)
         for failure in self.failures:
-            # the revive is scheduled by the kill handler, and only when
-            # the kill takes effect — a no-op kill must not revive
-            self._push(failure.time, 'kill', failure.replica, failure)
+            self._push(failure.time, self._kill, failure.replica, failure)
         if self.autoscaler is not None:
-            self._push(min(self.autoscaler.config.interval, horizon),
-                       'autoscale', -1)
-
-        now = 0.0
-        while self._events:
-            now, _, kind, replica, payload = heapq.heappop(self._events)
-            if kind == 'arrival':
-                if telemetry is not None:
-                    telemetry.arrival(payload, now)
-                replica = self._route(payload, now)
-                if replica is None:
-                    self._lost.append(payload)
-                    if telemetry is not None:
-                        telemetry.lost(payload, now,
-                                       reason='failure:no_live_host')
-                    continue
-                if not self._batchers[replica].offer(payload):
-                    self._rejected.append(payload)
-                    if telemetry is not None:
-                        telemetry.reject(payload, now, replica=replica)
-                    continue
-            elif kind == 'gpu_free':
-                if payload != self._epoch[replica]:
-                    continue             # stale: the replica died mid-batch
-                batch = self._in_flight[replica]
-                self._in_flight[replica] = None
-                for request in batch.requests:
-                    self._completions.append(CompletedRequest(
-                        request=request,
-                        dispatch_time=batch.dispatch_time,
-                        completion=now,
-                        bucket=batch.bucket,
-                        replica=replica,
-                        requeued=request.req_id in self._requeued_ids))
-                    if self._track_recent:
-                        self._recent.append(
-                            (now, (now - request.arrival) * 1e3))
-                if telemetry is not None:
-                    telemetry.batch_done(batch, now)
-                self._maybe_finish_retire(replica, now)
-            elif kind == 'kill':
-                took_effect = self._kill(replica, now)
-                if (took_effect and payload is not None
-                        and payload.revive_at is not None):
-                    self._push(payload.revive_at, 'revive', replica)
-                continue
-            elif kind == 'revive':
-                self._revive(replica, now)
-            elif kind == 'join':
-                self._join(payload, now)
-            elif kind == 'autoscale':
-                self._autoscale_tick(now, horizon)
-                continue
-            if replica is None or replica < 0 or replica >= len(self._batchers):
-                continue             # control event, or a never-joined index
-            if self._armed[replica] is not None and now >= self._armed[replica]:
-                self._armed[replica] = None
-            if (now >= self._gpu_free_at[replica]
-                    and self._in_flight[replica] is None):
-                self._dispatch(replica, now)
-
+            self._push(min(self.autoscaler.config.interval, self._horizon),
+                       self._autoscale_tick)
+        now = self._loop(trace)
         for replica in list(self._active_since):
             self._end_active_span(replica, now)
 
-        self._completions.sort(key=lambda c: (c.completion, c.request.req_id))
-        result = FleetResult(fleet=fleet, completions=self._completions,
-                             batches=self._batches, policy=self.policy,
-                             busy_seconds=self._busy, rejected=self._rejected,
-                             lost=self._lost, num_requeued=self._num_requeued,
-                             events=self._log,
+        self._finish()
+        result = FleetResult(fleet=fleet, completions=self.completions,
+                             batches=self.batches, policy=self.policy,
+                             busy_seconds=[lane.busy_seconds
+                                           for lane in self.lanes],
+                             rejected=self.rejected, lost=self.lost,
+                             num_requeued=self.num_requeued, events=self._log,
                              replica_seconds=self._replica_seconds,
                              scale_up_tuning_seconds=self._scale_up_tuning,
                              rehome_tuning_seconds=self._rehome_tuning)
         # hand the run's data to the result and drop our references: a
         # simulator held across a sweep must not pin every past trace's
         # completions/batches in memory (the load-view API stays usable)
-        self._completions, self._batches = [], []
-        self._rejected, self._lost, self._log = [], [], []
+        self.completions, self.batches = [], []
+        self.rejected, self.lost, self._log = [], [], []
         self._recent = deque()
         self._requeued_ids = set()
-        self._events = []
-        self._telemetry = None
+        self.telemetry = NULL_TELEMETRY
         return result
 
 

@@ -1,4 +1,4 @@
-"""Discrete-event serving simulator over modeled kernel latencies.
+"""Discrete-event serving simulators over modeled kernel latencies.
 
 Replays a request trace against a :class:`~repro.serve.registry.ModelRegistry`
 through a :class:`~repro.serve.batcher.DynamicBatcher`.  Time is entirely
@@ -7,21 +7,24 @@ latency (the sum of its kernels' ``gpusim`` latencies plus launch overhead),
 so a run over millions of simulated requests costs milliseconds of host time
 and is exactly reproducible.
 
-The event loop is the standard three-event design:
+Every simulator runs on the one event loop of
+:class:`~repro.serve.engine.ReplicaEngine`.  :class:`DispatchEngine` is its
+dynamic-batching step, shared by the single-GPU :class:`ServerSimulator` (one
+replica, no lifecycle) and the :class:`~repro.serve.fleet.FleetSimulator`:
 
 * ``arrival``  — a trace request joins its model's queue;
 * ``gpu_free`` — the in-flight batch completes, its requests are recorded;
 * ``timer``    — a head-of-line wait deadline fires (the batcher's
   ``max_wait`` knob) so a partial batch can dispatch on an idle GPU.
 
-After every event, if the GPU is idle the batcher is asked for a ready
-batch; otherwise requests keep coalescing — which is exactly how dynamic
+After each of a replica's events, if its GPU is idle the batcher is asked
+for a ready batch; otherwise requests keep coalescing, which is how dynamic
 batching converts queueing delay into occupancy under load.
+:class:`DecodeSimulator` is the same loop with a decode iteration as the
+step.
 """
 from __future__ import annotations
 
-import heapq
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -29,13 +32,15 @@ from ..gpusim.decode import DecodeCostModel
 from ..obs import Telemetry
 from .batcher import (Batch, BatchingPolicy, ContinuousBatcher, DecodePolicy,
                       DynamicBatcher)
+from .engine import Lane, ReplicaEngine
 from .memory import KVCacheLedger
 from .registry import ModelRegistry
 from .stats import ServeStats, compute_stats
 from .trace import Request
 
 __all__ = ['ServerSimulator', 'SimulationResult', 'CompletedRequest',
-           'DecodeSimulator', 'DecodeResult', 'DecodedRequest']
+           'DispatchEngine', 'DecodeSimulator', 'DecodeResult',
+           'DecodedRequest']
 
 #: host-side cost of launching one coalesced batch (queue pop, tensor
 #: gather/scatter for padding) — charged per dispatch, not per request
@@ -101,11 +106,7 @@ class SimulationResult:
         ``telemetry`` (the instance the run recorded into) merges its live
         ``sim.*`` metrics into ``stats.metrics``.
         """
-        return compute_stats(self.completions, self.batches, registry=registry,
-                             cold_start_seconds=cold_start_seconds,
-                             rejected=self.rejected,
-                             live_metrics=(telemetry.metrics
-                                           if telemetry is not None else None))
+        return compute_stats(self, registry, cold_start_seconds, telemetry)
 
     @property
     def gpu_utilization(self) -> float:
@@ -115,6 +116,182 @@ class SimulationResult:
         span = (max(c.completion for c in self.completions)
                 - min(c.request.arrival for c in self.completions))
         return self.busy_seconds / span if span > 0 else 1.0
+
+
+class _DispatchLane(Lane):
+    """One replica's dynamic-batching state."""
+
+    __slots__ = ('prices', 'gpu_free_at', 'armed')
+
+    def __init__(self, index: int, batcher: DynamicBatcher, now: float):
+        super().__init__(index, batcher)
+        #: (model, bucket) -> seconds one dispatch holds the GPU
+        self.prices: dict[tuple[str, int], float] = {}
+        self.gpu_free_at = now           # the GPU is idle iff now >= this
+        self.armed: Optional[float] = None   # earliest pending timer
+
+
+class DispatchEngine(ReplicaEngine):
+    """The dynamic-batching step: per replica, a batcher that dispatches a
+    coalesced batch whenever the GPU is idle and a batch is ready.
+
+    A batch holds the GPU for its bucket's modeled latency plus
+    ``batch_overhead``, read from the lane's price table, which is filled
+    whenever a model is added to the lane's batcher.  On its own the engine
+    serves one replica with no lifecycle (:class:`ServerSimulator`);
+    :class:`~repro.serve.fleet.FleetSimulator` adds routing, autoscaling and
+    failures.
+    """
+
+    def __init__(self, policy: BatchingPolicy, batch_overhead: float):
+        super().__init__()
+        self.policy = policy
+        self.batch_overhead = batch_overhead
+
+    def _start(self, telemetry: Optional[Telemetry]) -> None:
+        super()._start(telemetry)
+        self.completions: list[CompletedRequest] = []
+        self.batches: list[Batch] = []
+        self._requeued_ids: set[int] = set()
+        self._touched: set[int] = set()
+
+    def _add_lane(self, registry: ModelRegistry,
+                  now: float = 0.0) -> _DispatchLane:
+        lane = _DispatchLane(len(self.lanes),
+                             DynamicBatcher(self.policy, registry.bucket_map()),
+                             now)
+        for name in registry.models:
+            self._price(lane, registry, name)
+        self.lanes.append(lane)
+        return lane
+
+    def _price(self, lane: _DispatchLane, registry: ModelRegistry,
+               name: str) -> None:
+        model = registry[name]
+        for bucket in model.bucket_sizes:
+            lane.prices[name, bucket] = (model.latency(bucket)
+                                         + self.batch_overhead)
+
+    def _finish(self) -> None:
+        self.completions.sort(key=lambda c: (c.completion, c.request.req_id))
+
+    # -- events ----------------------------------------------------------------
+
+    def _route(self, request: Request, now: float) -> Optional[int]:
+        """The one GPU (the fleet routes through its placement policy)."""
+        return 0
+
+    def _reject(self, request: Request, now: float, replica: int) -> None:
+        """Admission control turned ``request`` away; on a single GPU the
+        trace records the rejection on no replica's track."""
+        self.rejected.append(request)
+        self.telemetry.reject(request, now)
+
+    def _arrival(self, now: float, request: Request) -> None:
+        self.telemetry.arrival(request, now)
+        replica = self._route(request, now)
+        if replica is None:
+            self._lose(request, now, reason='failure:no_live_host')
+        elif not self.lanes[replica].batcher.offer(request):
+            self._reject(request, now, replica)
+        else:
+            self._kick(self.lanes[replica], now)
+
+    def _gpu_free(self, now: float, replica: int, epoch: int) -> None:
+        lane = self.lanes[replica]
+        if epoch != lane.epoch:
+            return                       # stale: the replica died mid-batch
+        batch = lane.in_flight
+        lane.in_flight = None
+        requeued = self._requeued_ids
+        self.completions.extend(
+            CompletedRequest(request=request,
+                             dispatch_time=batch.dispatch_time,
+                             completion=now, bucket=batch.bucket,
+                             replica=replica,
+                             requeued=request.req_id in requeued)
+            for request in batch.requests)
+        self.telemetry.batch_done(batch, now)
+        self._completed(lane, batch, now)
+        self._kick(lane, now)
+
+    def _timer(self, now: float, replica: int, *_) -> None:
+        # a timer carries no state: it forces a dispatch attempt at the
+        # deadline instant
+        self._kick(self.lanes[replica], now)
+
+    def _completed(self, lane: _DispatchLane, batch: Batch,
+                   now: float) -> None:
+        """``batch`` finished on ``lane`` (its completions are recorded)."""
+
+    def _kick(self, lane: _DispatchLane, now: float) -> None:
+        if lane.armed is not None and now >= lane.armed:
+            lane.armed = None            # the armed timer is due/spent
+        if now >= lane.gpu_free_at and lane.in_flight is None:
+            self._dispatch(lane, now)
+
+    def _dispatch(self, lane: _DispatchLane, now: float) -> None:
+        """Put a ready batch on ``lane``'s idle GPU, or arm a timer for
+        the next wait deadline so a partial batch still dispatches."""
+        if not lane.alive:
+            return
+        batcher = lane.batcher
+        batch = batcher.pop_ready(now)
+        if batch is None:
+            # one armed timer per deadline: every idle event lands here, so
+            # unconditional pushes would flood the heap with duplicates
+            deadline = batcher.next_deadline()
+            if deadline is not None:
+                when = max(deadline, now)
+                if lane.armed is None or when < lane.armed:
+                    self._push(when, self._timer, lane.index)
+                    lane.armed = when
+            return
+        batch.replica = lane.index
+        service = lane.prices[batch.model, batch.bucket]
+        lane.gpu_free_at = now + service
+        lane.busy_seconds += service
+        lane.in_flight = batch
+        self.batches.append(batch)
+        self.telemetry.batch_formed(batch, lane.index, now,
+                                    queued_after=batcher.pending())
+        self._push(lane.gpu_free_at, self._gpu_free, lane.index, lane.epoch)
+
+    # -- lifecycle -------------------------------------------------------------
+
+    def _abort(self, lane: _DispatchLane, now: float) -> None:
+        lane.armed = None
+        batch = lane.in_flight
+        lane.in_flight = None
+        if batch is not None:
+            # the GPU died mid-batch: its requests are lost, the unspent
+            # service time is given back, and the batch leaves the dispatch
+            # record, which would otherwise count work that is also counted
+            # as lost
+            lane.busy_seconds -= max(0.0, lane.gpu_free_at - now)
+            lane.gpu_free_at = now
+            self.batches.remove(batch)
+            for request in batch.requests:
+                self._lose(request, now, replica=lane.index,
+                           reason='failure:in_flight')
+
+    def _readmitted(self, request: Request, lane: _DispatchLane,
+                    now: float) -> None:
+        # dispatch waits until the whole queue is re-admitted, so the
+        # survivors batch the re-admitted requests together
+        self._requeued_ids.add(request.req_id)
+        self._touched.add(lane.index)
+
+    def _refused(self, request: Request, now: float, dead: int) -> None:
+        self._lose(request, now, reason='failure:readmit_refused')
+
+    def _kill(self, now: float, replica: int, failure) -> None:
+        super()._kill(now, replica, failure)
+        for target in sorted(self._touched):
+            lane = self.lanes[target]
+            if now >= lane.gpu_free_at and lane.in_flight is None:
+                self._dispatch(lane, now)
+        self._touched.clear()
 
 
 class ServerSimulator:
@@ -143,11 +320,6 @@ class ServerSimulator:
         self.policy = policy if policy is not None else BatchingPolicy()
         self.batch_overhead = batch_overhead
 
-    def service_time(self, model: str, bucket: int) -> float:
-        """Simulated seconds one dispatch to ``bucket`` holds the GPU
-        (the bucket's modeled kernel latency plus ``batch_overhead``)."""
-        return self.registry[model].latency(bucket) + self.batch_overhead
-
     def run(self, trace: Sequence[Request],
             telemetry: Optional[Telemetry] = None) -> SimulationResult:
         """Replay ``trace`` (any order; sorted internally) to completion.
@@ -160,76 +332,15 @@ class ServerSimulator:
         the run as spans and live metrics; ``None`` keeps the simulator
         observation-free.
         """
-        batcher = DynamicBatcher(self.policy, self.registry.bucket_map())
-        events: list[tuple[float, int, str, Optional[Request]]] = []
-        seq = itertools.count()
-        for request in trace:
-            heapq.heappush(events, (request.arrival, next(seq), 'arrival', request))
-
-        completions: list[CompletedRequest] = []
-        batches: list[Batch] = []
-        rejected: list[Request] = []
-        busy_seconds = 0.0
-        gpu_free_at = 0.0            # GPU is idle iff now >= gpu_free_at
-        in_flight: Optional[Batch] = None
-        armed_deadline: Optional[float] = None   # earliest pending timer
-
-        def dispatch(now: float) -> None:
-            nonlocal gpu_free_at, busy_seconds, in_flight, armed_deadline
-            batch = batcher.pop_ready(now)
-            if batch is None:
-                # nothing due yet: arm a timer for the next wait deadline so
-                # a partial batch still dispatches on the idle GPU.  One
-                # armed timer per deadline — every idle event lands here, so
-                # unconditional pushes would flood the heap with duplicates
-                deadline = batcher.next_deadline()
-                if deadline is not None:
-                    when = max(deadline, now)
-                    if armed_deadline is None or when < armed_deadline:
-                        heapq.heappush(events, (when, next(seq), 'timer', None))
-                        armed_deadline = when
-                return
-            service = self.service_time(batch.model, batch.bucket)
-            gpu_free_at = now + service
-            busy_seconds += service
-            in_flight = batch
-            batches.append(batch)
-            if telemetry is not None:
-                telemetry.batch_formed(batch, replica=0, now=now,
-                                       queued_after=batcher.pending())
-            heapq.heappush(events, (gpu_free_at, next(seq), 'gpu_free', None))
-
-        while events:
-            now, _, kind, payload = heapq.heappop(events)
-            if armed_deadline is not None and now >= armed_deadline:
-                armed_deadline = None        # the armed timer is due/spent
-            if kind == 'arrival':
-                if telemetry is not None:
-                    telemetry.arrival(payload, now)
-                if not batcher.offer(payload):
-                    rejected.append(payload)
-                    if telemetry is not None:
-                        telemetry.reject(payload, now)
-            elif kind == 'gpu_free':
-                batch = in_flight
-                in_flight = None
-                for request in batch.requests:
-                    completions.append(CompletedRequest(
-                        request=request,
-                        dispatch_time=batch.dispatch_time,
-                        completion=now,
-                        bucket=batch.bucket))
-                if telemetry is not None:
-                    telemetry.batch_done(batch, now)
-            # 'timer' events carry no state — they only force the dispatch
-            # attempt below at the deadline instant
-            if now >= gpu_free_at and in_flight is None:
-                dispatch(now)
-
-        completions.sort(key=lambda c: (c.completion, c.request.req_id))
-        return SimulationResult(completions=completions, batches=batches,
-                                policy=self.policy, busy_seconds=busy_seconds,
-                                rejected=rejected)
+        engine = DispatchEngine(self.policy, self.batch_overhead)
+        engine._start(telemetry)
+        lane = engine._add_lane(self.registry)
+        engine._loop(trace)
+        engine._finish()
+        return SimulationResult(completions=engine.completions,
+                                batches=engine.batches, policy=self.policy,
+                                busy_seconds=lane.busy_seconds,
+                                rejected=engine.rejected)
 
 
 # ---------------------------------------------------------------------------
@@ -301,18 +412,7 @@ class DecodeResult:
 
     def stats(self, telemetry: Optional[Telemetry] = None) -> ServeStats:
         """Fold the run into a token-aware :class:`ServeStats`."""
-        return compute_stats(
-            self.completions, [], rejected=self.rejected, lost=self.lost,
-            num_requeued=self.num_requeued,
-            prefill_tokens=self.num_prefill_tokens,
-            decode_tokens=self.num_decode_tokens,
-            decode_steps=self.num_decode_steps,
-            mean_decode_width=self.mean_decode_width,
-            kv_peak_bytes=self.kv_peak_bytes,
-            kv_capacity_bytes=self.kv_capacity_bytes,
-            kv_overflow_steps=self.kv_overflow_steps,
-            live_metrics=(telemetry.metrics
-                          if telemetry is not None else None))
+        return compute_stats(self, telemetry=telemetry)
 
 
 class _LiveRequest:
@@ -329,30 +429,24 @@ class _LiveRequest:
         self.recorded = False       # completion record written (EOS reached)
 
 
-class _DecodeLane:
+class _DecodeLane(Lane):
     """One replica's decode state: running batch, KV ledger, join queue."""
 
-    __slots__ = ('index', 'label', 'alive', 'ledger', 'batcher', 'active',
-                 'in_flight', 'epoch', 'batch_width', 'busy_seconds')
+    __slots__ = ('label', 'ledger', 'active', 'batch_width')
 
     def __init__(self, index: int, policy: DecodePolicy,
                  kv_capacity_bytes: int, kv_bytes_per_token: int,
                  strict: bool, record_trail: bool):
-        self.index = index
+        super().__init__(index, ContinuousBatcher(policy))
         self.label = f'r{index}'
-        self.alive = True
         self.ledger = KVCacheLedger(kv_capacity_bytes, kv_bytes_per_token,
                                     label=f'{self.label}:kv', strict=strict,
                                     record_trail=record_trail)
-        self.batcher = ContinuousBatcher(policy)
         self.active: list[_LiveRequest] = []
-        self.in_flight = False
-        self.epoch = 0
         self.batch_width = 0        # request-level mode: slots held per batch
-        self.busy_seconds = 0.0
 
 
-class DecodeSimulator:
+class DecodeSimulator(ReplicaEngine):
     """Iteration-level decode serving over a prefill/decode cost model.
 
     Time advances in *decode iterations*: every iteration emits one token
@@ -372,7 +466,9 @@ class DecodeSimulator:
     replica, optional revive_at) kill lanes mid-trace — their resident
     requests are *lost loudly* with partial token counts, queued requests
     re-route to survivors — and ``joins`` (times) add fresh lanes mid-trace
-    (autoscale-style scale-up).  Deterministic: one trace, one result.
+    (autoscale-style scale-up).  The loop and the failure handling are the
+    fleet's (:class:`~repro.serve.engine.ReplicaEngine`); the step is one
+    decode iteration.  Deterministic: one trace, one result.
     """
 
     def __init__(self, cost: DecodeCostModel,
@@ -383,6 +479,7 @@ class DecodeSimulator:
                  failures: Optional[Sequence] = None,
                  joins: Sequence[float] = (),
                  record_kv_trail: bool = False):
+        super().__init__()
         self.cost = cost
         self.policy = policy if policy is not None else DecodePolicy()
         if self.policy.max_width > cost.max_width:
@@ -407,7 +504,6 @@ class DecodeSimulator:
         self.failures = tuple(getattr(failures, 'events', failures or ()))
         self.joins = tuple(sorted(float(t) for t in joins))
         self.record_kv_trail = record_kv_trail
-        self.lanes: list[_DecodeLane] = []     # populated per run
 
     # -- helpers -------------------------------------------------------------
 
@@ -419,16 +515,15 @@ class DecodeSimulator:
         self.lanes.append(lane)
         return lane
 
-    def _route(self, exclude: Optional[int] = None) -> Optional[_DecodeLane]:
+    def _route(self, request: Request, now: float) -> Optional[int]:
         """The alive lane with the most free KV (ties: shortest queue,
         lowest index) — deterministic least-loaded routing."""
-        candidates = [lane for lane in self.lanes
-                      if lane.alive and lane.index != exclude]
+        candidates = [lane for lane in self.lanes if lane.alive]
         if not candidates:
             return None
         return min(candidates,
                    key=lambda lane: (lane.ledger.reserved_bytes,
-                                     lane.batcher.pending(), lane.index))
+                                     lane.batcher.pending(), lane.index)).index
 
     def _oversized(self, request: Request) -> bool:
         """Under reserve admission, a request whose worst-case KV exceeds
@@ -449,198 +544,145 @@ class DecodeSimulator:
         (queue full, oversized for the KV capacity, or no live replica),
         or a loud loss to a lane failure.
         """
-        result = DecodeResult(completions=[], policy=self.policy,
-                              continuous=self.continuous)
-        self.lanes = []
+        self._start(telemetry)
+        result = self._result = DecodeResult(
+            completions=[], policy=self.policy, continuous=self.continuous,
+            rejected=self.rejected, lost=self.lost)
         for _ in range(self.num_replicas):
             self._new_lane()
-
-        events: list[tuple[float, int, str, object]] = []
-        seq = itertools.count()
-
-        def push(time: float, kind: str, payload: object = None) -> None:
-            heapq.heappush(events, (time, next(seq), kind, payload))
-
-        for request in trace:
-            push(request.arrival, 'arrival', request)
         for event in self.failures:
-            push(event.time, 'kill', event.replica)
-            if getattr(event, 'revive_at', None) is not None:
-                push(event.revive_at, 'revive', event.replica)
+            self._push(event.time, self._kill, event.replica, event)
         for time in self.joins:
-            push(time, 'lane_join')
-
-        def begin_step(lane: _DecodeLane, now: float) -> None:
-            """Admit joiners, price one iteration, schedule its end."""
-            joiners: list[Request] = []
-            if self.continuous or not lane.active:
-                joiners = lane.batcher.next_joiners(
-                    len(lane.active), lane.ledger, now=now)
-            if not lane.active and not joiners:
-                lane.in_flight = False
-                return
-            for request in joiners:
-                live = _LiveRequest(request, join_time=now)
-                lane.active.append(live)
-                result.num_prefill_tokens += request.prompt_tokens
-            width = len(lane.active)
-            if not self.continuous and lane.batch_width == 0:
-                lane.batch_width = width       # slots held until batch EOS
-            priced = width if self.continuous else lane.batch_width
-            if telemetry is not None:
-                for request in joiners:
-                    telemetry.decode_join(request, now, lane.index,
-                                          width=priced)
-            step = self.cost.decode_step_seconds(priced)
-            if joiners:
-                step += self.cost.prefill_seconds(
-                    sum(r.prompt_tokens for r in joiners), width=priced)
-            overflow = lane.ledger.overflow_bytes
-            if overflow > 0:
-                step += self.cost.swap_penalty_seconds(overflow)
-                result.kv_overflow_steps += 1
-            lane.busy_seconds += step
-            result.busy_seconds += step
-            result.num_decode_steps += 1
-            result.width_step_sum += priced
-            lane.in_flight = True
-            push(now + step, 'step_end', (lane.index, lane.epoch))
-
-        def retire(lane: _DecodeLane, live: _LiveRequest, now: float) -> None:
-            """Write the completion record at the request's last token."""
-            live.recorded = True
-            result.completions.append(DecodedRequest(
-                request=live.request, join_time=live.join_time,
-                first_token_time=live.first_token_time, completion=now,
-                tokens_out=live.emitted, replica=lane.index))
-            if telemetry is not None:
-                telemetry.decode_complete(live.request, now, lane.index,
-                                          tokens=live.emitted)
-
-        def end_step(lane: _DecodeLane, now: float) -> None:
-            """Emit this iteration's tokens, retire EOS, start the next."""
-            emitted = 0
-            for live in lane.active:
-                if live.emitted < live.request.output_tokens:
-                    live.emitted += 1
-                    emitted += 1
-                    lane.ledger.extend(live.request.req_id, 1, now=now)
-                    if live.first_token_time is None:
-                        live.first_token_time = now
-            result.num_decode_tokens += emitted
-            if telemetry is not None:
-                telemetry.decode_step(
-                    now, lane.index, width=len(lane.active),
-                    tokens=emitted,
-                    kv_committed_bytes=lane.ledger.committed_bytes)
-            done = [live for live in lane.active
-                    if live.emitted >= live.request.output_tokens]
-            if self.continuous:
-                # EOS leaves the batch immediately: record, free KV, free slot
-                for live in done:
-                    retire(lane, live, now)
-                    lane.ledger.release(live.request.req_id, now=now)
-                lane.active = [live for live in lane.active
-                               if not live.recorded]
-            else:
-                # request-level regime: finished members stream their answer
-                # out (record now) but their slot and KV stay pinned until
-                # the whole batch reaches EOS — the cost under comparison
-                for live in done:
-                    if not live.recorded:
-                        retire(lane, live, now)
-                if len(done) == len(lane.active):
-                    for live in lane.active:
-                        lane.ledger.release(live.request.req_id, now=now)
-                    lane.active = []
-                    lane.batch_width = 0
-            lane.in_flight = False
-            begin_step(lane, now)
-
-        def lose_resident(lane: _DecodeLane, now: float) -> None:
-            """A dying lane's resident requests are lost with their partial
-            token counts (recorded EOS survivors already completed)."""
-            for live in lane.active:
-                if not live.recorded:
-                    result.lost.append(live.request)
-                    if telemetry is not None:
-                        telemetry.lost(live.request, now, replica=lane.index,
-                                       tokens=live.emitted)
-            lane.active = []
-            lane.ledger.clear(now=now)
-
-        def reroute(requests: list[Request], now: float,
-                    dead: int) -> None:
-            for request in requests:
-                target = self._route(exclude=dead)
-                if target is None or not target.batcher.offer(request):
-                    result.lost.append(request)
-                    if telemetry is not None:
-                        telemetry.lost(request, now, replica=dead)
-                    continue
-                result.num_requeued += 1
-                if telemetry is not None:
-                    telemetry.requeue(request, now, target.index)
-                if not target.in_flight:
-                    begin_step(target, now)
-
-        while events:
-            now, _, kind, payload = heapq.heappop(events)
-            if kind == 'arrival':
-                request = payload
-                if telemetry is not None:
-                    telemetry.arrival(request, now)
-                lane = self._route()
-                reason = None
-                if lane is None:
-                    reason = 'no_replica'
-                elif self._oversized(request):
-                    reason = 'kv_oversized'
-                elif not lane.batcher.offer(request):
-                    reason = 'queue_full'
-                if reason is not None:
-                    result.rejected.append(request)
-                    if telemetry is not None:
-                        telemetry.reject(request, now, reason=reason)
-                    continue
-                if not lane.in_flight:
-                    begin_step(lane, now)
-            elif kind == 'step_end':
-                lane_index, epoch = payload
-                lane = self.lanes[lane_index]
-                if not lane.alive or lane.epoch != epoch:
-                    continue                    # stale: the lane died mid-step
-                end_step(lane, now)
-            elif kind == 'kill':
-                if payload >= len(self.lanes):
-                    continue                    # no such lane (yet)
-                lane = self.lanes[payload]
-                if not lane.alive:
-                    continue
-                lane.alive = False
-                lane.epoch += 1
-                lane.in_flight = False
-                lane.batch_width = 0
-                lose_resident(lane, now)
-                if telemetry is not None:
-                    telemetry.lifecycle_event('kill', now, lane.index)
-                reroute(lane.batcher.drain(), now, dead=lane.index)
-            elif kind == 'revive':
-                if payload >= len(self.lanes):
-                    continue
-                lane = self.lanes[payload]
-                if lane.alive:
-                    continue
-                lane.alive = True
-                if telemetry is not None:
-                    telemetry.lifecycle_event('revive', now, lane.index)
-            elif kind == 'lane_join':
-                lane = self._new_lane()
-                if telemetry is not None:
-                    telemetry.lifecycle_event('join', now, lane.index)
-
+            self._push(time, self._join)
+        self._loop(trace)
+        self._result = None
+        result.num_requeued = self.num_requeued
         for lane in self.lanes:
             result.kv_peak_bytes[lane.label] = lane.ledger.peak_committed_bytes
             result.kv_capacity_bytes[lane.label] = lane.ledger.capacity_bytes
         result.completions.sort(key=lambda c: (c.completion, c.request.req_id))
         return result
+
+    # -- events ----------------------------------------------------------------
+
+    def _arrival(self, now: float, request: Request) -> None:
+        self.telemetry.arrival(request, now)
+        replica = self._route(request, now)
+        reason = None
+        if replica is None:
+            reason = 'no_replica'
+        elif self._oversized(request):
+            reason = 'kv_oversized'
+        elif not self.lanes[replica].batcher.offer(request):
+            reason = 'queue_full'
+        if reason is not None:
+            self.rejected.append(request)
+            self.telemetry.reject(request, now, reason=reason)
+            return
+        self._kick(self.lanes[replica], now)
+
+    def _join(self, now: float, *_) -> None:
+        self._event(now, 'join', self._new_lane().index)
+
+    # -- the step: one decode iteration ------------------------------------------
+
+    def _kick(self, lane: _DecodeLane, now: float) -> None:
+        if not lane.in_flight:
+            self._begin_step(lane, now)
+
+    def _begin_step(self, lane: _DecodeLane, now: float) -> None:
+        """Admit joiners, price one iteration, schedule its end."""
+        result = self._result
+        joiners: list[Request] = []
+        if self.continuous or not lane.active:
+            joiners = lane.batcher.next_joiners(
+                len(lane.active), lane.ledger, now=now)
+        if not lane.active and not joiners:
+            lane.in_flight = False
+            return
+        for request in joiners:
+            lane.active.append(_LiveRequest(request, join_time=now))
+            result.num_prefill_tokens += request.prompt_tokens
+        width = len(lane.active)
+        if not self.continuous and lane.batch_width == 0:
+            lane.batch_width = width       # slots held until batch EOS
+        priced = width if self.continuous else lane.batch_width
+        for request in joiners:
+            self.telemetry.decode_join(request, now, lane.index, width=priced)
+        step = self.cost.decode_step_seconds(priced)
+        if joiners:
+            step += self.cost.prefill_seconds(
+                sum(r.prompt_tokens for r in joiners), width=priced)
+        overflow = lane.ledger.overflow_bytes
+        if overflow > 0:
+            step += self.cost.swap_penalty_seconds(overflow)
+            result.kv_overflow_steps += 1
+        lane.busy_seconds += step
+        result.busy_seconds += step
+        result.num_decode_steps += 1
+        result.width_step_sum += priced
+        lane.in_flight = True
+        self._push(now + step, self._end_step, lane.index, lane.epoch)
+
+    def _retire(self, lane: _DecodeLane, live: _LiveRequest,
+                now: float) -> None:
+        """Write the completion record at the request's last token."""
+        live.recorded = True
+        self._result.completions.append(DecodedRequest(
+            request=live.request, join_time=live.join_time,
+            first_token_time=live.first_token_time, completion=now,
+            tokens_out=live.emitted, replica=lane.index))
+        self.telemetry.decode_complete(live.request, now, lane.index,
+                                       tokens=live.emitted)
+
+    def _end_step(self, now: float, replica: int, epoch: int) -> None:
+        """Emit this iteration's tokens, retire EOS, start the next."""
+        lane = self.lanes[replica]
+        if not lane.alive or lane.epoch != epoch:
+            return                      # stale: the lane died mid-step
+        emitted = 0
+        for live in lane.active:
+            if live.emitted < live.request.output_tokens:
+                live.emitted += 1
+                emitted += 1
+                lane.ledger.extend(live.request.req_id, 1, now=now)
+                if live.first_token_time is None:
+                    live.first_token_time = now
+        self._result.num_decode_tokens += emitted
+        self.telemetry.decode_step(
+            now, lane.index, width=len(lane.active), tokens=emitted,
+            kv_committed_bytes=lane.ledger.committed_bytes)
+        done = [live for live in lane.active
+                if live.emitted >= live.request.output_tokens]
+        if self.continuous:
+            # EOS leaves the batch immediately: record, free KV, free slot
+            for live in done:
+                self._retire(lane, live, now)
+                lane.ledger.release(live.request.req_id, now=now)
+            lane.active = [live for live in lane.active if not live.recorded]
+        else:
+            # request-level regime: finished members stream their answer
+            # out (record now) but their slot and KV stay pinned until
+            # the whole batch reaches EOS — the cost under comparison
+            for live in done:
+                if not live.recorded:
+                    self._retire(lane, live, now)
+            if len(done) == len(lane.active):
+                for live in lane.active:
+                    lane.ledger.release(live.request.req_id, now=now)
+                lane.active = []
+                lane.batch_width = 0
+        lane.in_flight = False
+        self._begin_step(lane, now)
+
+    def _abort(self, lane: _DecodeLane, now: float) -> None:
+        """A dying lane's resident requests are lost with their partial
+        token counts (recorded EOS survivors already completed)."""
+        lane.in_flight = False
+        lane.batch_width = 0
+        for live in lane.active:
+            if not live.recorded:
+                self._lose(live.request, now, replica=lane.index,
+                           tokens=live.emitted)
+        lane.active = []
+        lane.ledger.clear(now=now)

@@ -14,7 +14,7 @@ percentiled through the shared :mod:`repro.obs.percentiles` helper) and the
 dataclass fields are read back out of it.  The registry rides along as
 ``stats.metrics`` — fold-time metrics are namespaced ``serve.*``, and a
 run's live-sampled ``sim.*`` series (queue depth, replica count) join it
-via ``live_metrics`` without double-counting either side.
+from the run's telemetry without double-counting either side.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..obs import MetricsRegistry
+from ..obs import NULL_TELEMETRY, MetricsRegistry
 from .memory import format_bytes as _fmt_bytes
 
 __all__ = ['ServeStats', 'compute_stats', 'format_serving_report']
@@ -178,40 +178,44 @@ class ServeStats:
         return self.cold_start_seconds / max(1, self.num_requests)
 
 
-def compute_stats(completions, batches, registry=None,
-                  cold_start_seconds: Optional[float] = None,
-                  rejected=(), lost=(), num_requeued: int = 0,
-                  replica_seconds: float = 0.0,
-                  scale_up_tuning_seconds: float = 0.0,
-                  peak_memory_bytes: Optional[dict] = None,
-                  memory_capacity_bytes: Optional[dict] = None,
-                  prefill_tokens: int = 0, decode_tokens: int = 0,
-                  decode_steps: int = 0, mean_decode_width: float = 0.0,
-                  kv_peak_bytes: Optional[dict] = None,
-                  kv_capacity_bytes: Optional[dict] = None,
-                  kv_overflow_steps: int = 0,
-                  live_metrics: Optional[MetricsRegistry] = None) -> ServeStats:
-    """Fold completion records and dispatches into a :class:`ServeStats`.
+#: the channels a run result may carry, by the :class:`ServeStats` field
+#: they fill, with their value for a run that has no such channel
+_CHANNELS = {
+    'num_requeued': 0, 'replica_seconds': 0.0,
+    'scale_up_tuning_seconds': 0.0,
+    'peak_memory_bytes': {}, 'memory_capacity_bytes': {},
+    'num_prefill_tokens': 0, 'num_decode_tokens': 0, 'num_decode_steps': 0,
+    'mean_decode_width': 0.0, 'kv_peak_bytes': {}, 'kv_capacity_bytes': {},
+    'kv_overflow_steps': 0,
+}
 
-    ``completions`` are the simulator's per-request records (``request``,
-    ``completion`` fields); ``batches`` the dispatched :class:`Batch`\\ es;
-    ``rejected`` the requests admission control turned away.  ``registry``
+
+def compute_stats(result, registry=None,
+                  cold_start_seconds: Optional[float] = None,
+                  telemetry=None) -> ServeStats:
+    """Fold a finished run's result into a :class:`ServeStats`.
+
+    ``result`` is a simulator's result object: its ``completions`` are the
+    per-request records (``request``, ``completion`` fields), ``batches``
+    the dispatched :class:`Batch`\\ es (none for a decode run) and
+    ``rejected`` the requests admission control turned away.  The lifecycle
+    channel — ``lost`` (requests dropped by replica failures),
+    ``num_requeued``, ``replica_seconds``, ``scale_up_tuning_seconds`` —
+    and the memory and token channels are read from the result when it
+    has them (see ``_CHANNELS``) and are zero otherwise.  ``registry``
     contributes the compile-side accounting (or, for a fleet, any object
     with a ``models`` mapping and ``total_compile_seconds``); pass
     ``cold_start_seconds`` to override (e.g. when the registry was warmed
-    from disk and charged nothing).  The lifecycle channel — ``lost``
-    (requests dropped by replica failures), ``num_requeued``,
-    ``replica_seconds``, ``scale_up_tuning_seconds`` — is filled by fleet
-    runs with autoscaling or failure injection and stays zero otherwise.
+    from disk and charged nothing).
 
     The fold runs *through* a fresh ``serve.*``-namespaced
     :class:`~repro.obs.metrics.MetricsRegistry` (returned as
     ``stats.metrics``): counters for every request channel and cache tier,
     and one latency histogram whose percentiles are the dataclass's
-    latency fields.  ``live_metrics`` — a run's live-sampled ``sim.*``
-    registry, e.g. ``telemetry.metrics`` — is merged in by name, existing
-    names winning, so live and fold-time views coexist without
-    double-counting.
+    latency fields.  The live ``sim.*`` metrics of ``telemetry`` (the
+    :class:`~repro.obs.Telemetry` the run recorded into) are merged in by
+    name, existing names winning, so live and fold-time views coexist
+    without double-counting.
 
     A run with offered load but **zero completions** (every request
     rejected or lost — e.g. failure injection killing the whole fleet at
@@ -219,6 +223,14 @@ def compute_stats(completions, batches, registry=None,
     never fakes an SLO pass), throughput zero, and the rejection/loss
     channels carry the story.  Only a run with no requests at all raises.
     """
+    completions, rejected = result.completions, result.rejected
+    batches = getattr(result, 'batches', ())
+    lost = getattr(result, 'lost', ())
+    channels = {}
+    for name, default in _CHANNELS.items():
+        value = getattr(result, name, default)
+        # copied: the stats must not alias the result's (or these) dicts
+        channels[name] = dict(value) if isinstance(value, dict) else value
     if not completions and not rejected and not lost:
         raise ValueError('cannot compute serving stats of an empty run')
 
@@ -242,49 +254,39 @@ def compute_stats(completions, batches, registry=None,
                     unit='requests').add(len(rejected))
     metrics.counter('serve.requests.lost', unit='requests').add(len(lost))
     metrics.counter('serve.requests.requeued',
-                    unit='requests').add(num_requeued)
+                    unit='requests').add(channels['num_requeued'])
     metrics.counter('serve.batches', unit='batches').add(len(batches))
     metrics.counter('serve.cache.hits').add(hits)
     metrics.counter('serve.cache.misses').add(misses)
     metrics.counter('serve.cache.transfer_hits').add(transfers)
     metrics.counter('serve.cache.device_transfer_hits').add(device_transfers)
     metrics.counter('serve.cold_start_seconds', unit='s').add(cold)
-    metrics.counter('serve.replica_seconds', unit='s').add(replica_seconds)
-    metrics.counter('serve.scale_up_tuning_seconds',
-                    unit='s').add(scale_up_tuning_seconds)
-    if decode_steps:
+    metrics.counter('serve.replica_seconds', unit='s').add(
+        channels['replica_seconds'])
+    metrics.counter('serve.scale_up_tuning_seconds', unit='s').add(
+        channels['scale_up_tuning_seconds'])
+    if channels['num_decode_steps']:
         # the token-level channel exists only for decode runs, so classic
         # whole-request folds keep their historical metric set byte-for-byte
         metrics.counter('serve.tokens.prefill', unit='tokens').add(
-            prefill_tokens)
+            channels['num_prefill_tokens'])
         metrics.counter('serve.tokens.decode', unit='tokens').add(
-            decode_tokens)
-        metrics.counter('serve.decode.steps', unit='steps').add(decode_steps)
+            channels['num_decode_tokens'])
+        metrics.counter('serve.decode.steps', unit='steps').add(
+            channels['num_decode_steps'])
         metrics.counter('serve.kv.overflow_steps', unit='steps').add(
-            kv_overflow_steps)
-    metrics.merge(live_metrics)
+            channels['kv_overflow_steps'])
+    metrics.merge((telemetry or NULL_TELEMETRY).metrics)
 
     # everything except the latency/throughput block, shared by both
     # construction sites so a future field cannot drift between them
-    channels = dict(
+    channels.update(
         cache_hits=hits, cache_misses=misses,
         cache_transfer_hits=transfers,
         cache_device_transfer_hits=device_transfers,
         cold_start_seconds=cold,
         num_rejected=len(rejected),
         num_lost_to_failure=len(lost),
-        num_requeued=num_requeued,
-        replica_seconds=replica_seconds,
-        scale_up_tuning_seconds=scale_up_tuning_seconds,
-        peak_memory_bytes=dict(peak_memory_bytes or {}),
-        memory_capacity_bytes=dict(memory_capacity_bytes or {}),
-        num_prefill_tokens=prefill_tokens,
-        num_decode_tokens=decode_tokens,
-        num_decode_steps=decode_steps,
-        mean_decode_width=mean_decode_width,
-        kv_peak_bytes=dict(kv_peak_bytes or {}),
-        kv_capacity_bytes=dict(kv_capacity_bytes or {}),
-        kv_overflow_steps=kv_overflow_steps,
         metrics=metrics,
     )
 
@@ -330,7 +332,7 @@ def compute_stats(completions, batches, registry=None,
         mean_batch_size=num_samples / max(1, len(batches)),
         mean_occupancy=(occupancy_hist.mean() if batches else 0.0),
         bucket_histogram=dict(sorted(histogram.items())),
-        tokens_per_second=decode_tokens / duration,
+        tokens_per_second=channels['num_decode_tokens'] / duration,
         **channels,
     )
 
