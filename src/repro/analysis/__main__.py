@@ -19,6 +19,7 @@ sweep inside interactive budgets.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -58,21 +59,22 @@ def _space_sample(count: int):
     return sample
 
 
-def lint_templates(count: int, report: AnalysisReport, verbose: bool):
+def matmul_template_modules(scheds):
+    """The matmul template at every ``TEMPLATE_SIZES`` size, batch 1 and 3,
+    for each schedule."""
     from ..sched.matmul_template import build_matmul_module
-    scheds = _space_sample(count)
-    built = 0
     for m, n, k in TEMPLATE_SIZES:
         for batch in (1, 3):
             for sched in scheds:
                 if batch > 1 and sched.split_k > 1:
                     continue    # batch and split-k both claim blockIdx.z
-                module = build_matmul_module(m, n, k, sched,
-                                             name=f'mm{m}x{n}x{k}b{batch}',
-                                             batch=batch)
-                report.extend(analyze_module(module))
-                built += len(module)
-    # the reduction template across its block sizes
+                yield build_matmul_module(m, n, k, sched,
+                                          name=f'mm{m}x{n}x{k}b{batch}',
+                                          batch=batch)
+
+
+def reduce_template_modules():
+    """The reduction template across its block sizes."""
     from ..core.schedule import ReduceSchedule
     from ..ir.compute import compute, reduce, tensor_input
     from ..ir.task import Task
@@ -81,7 +83,14 @@ def lint_templates(count: int, report: AnalysisReport, verbose: bool):
     task = Task('rsum', [a],
                 compute('B', [5], lambda i: reduce([33], lambda kk: a[i, kk])))
     for block in (32, 64, 128):
-        module = build_reduce_module(task, ReduceSchedule(block_size=block))
+        yield build_reduce_module(task, ReduceSchedule(block_size=block))
+
+
+def lint_templates(count: int, report: AnalysisReport, verbose: bool):
+    scheds = _space_sample(count)
+    built = 0
+    for module in itertools.chain(matmul_template_modules(scheds),
+                                  reduce_template_modules()):
         report.extend(analyze_module(module))
         built += len(module)
     if verbose:
@@ -89,7 +98,8 @@ def lint_templates(count: int, report: AnalysisReport, verbose: bool):
               f'x {len(TEMPLATE_SIZES)} sizes (+reduce)')
 
 
-def lint_model(name: str, report: AnalysisReport, verbose: bool):
+def model_modules(name: str) -> list:
+    """The distinct IR modules of a ``build_ir`` compile of a zoo model."""
     from ..runtime import HidetExecutor, ScheduleCache
     graph = _ZOO[name]()
     # the CLI collects full reports itself, so the executor's own raising
@@ -97,19 +107,27 @@ def lint_model(name: str, report: AnalysisReport, verbose: bool):
     executor = HidetExecutor(cache=ScheduleCache(), build_ir=True,
                              check_ir=False)
     compiled = executor.compile(graph)
-    kernels = 0
+    modules = []
     seen = set()
     for op in compiled.ops:
         if op.module is None or id(op.module) in seen:
             continue
         seen.add(id(op.module))
-        report.extend(analyze_module(op.module))
-        kernels += len(op.module)
+        modules.append(op.module)
+    return modules
+
+
+def lint_model(name: str, report: AnalysisReport, verbose: bool):
+    kernels = 0
+    for module in model_modules(name):
+        report.extend(analyze_module(module))
+        kernels += len(module)
     if verbose:
         print(f'{name}: {kernels} lowered kernels analyzed')
 
 
-def lint_fixtures(report: AnalysisReport, verbose: bool):
+def fixture_modules() -> list:
+    """One seeded-bad module per failure class."""
     from . import fixtures
     from ..core.space import matmul_schedule_space
     modules = [
@@ -123,7 +141,11 @@ def lint_fixtures(report: AnalysisReport, verbose: bool):
     sched = next(s for s in matmul_schedule_space() if s.double_buffer)
     modules.append(fixtures.strip_loop_barrier(
         build_matmul_module(64, 64, 64, sched, name='desynced')))
-    for module in modules:
+    return modules
+
+
+def lint_fixtures(report: AnalysisReport, verbose: bool):
+    for module in fixture_modules():
         sub = analyze_module(module)
         if sub.ok and verbose:
             print(f'warning: fixture {module.name} analyzed clean')

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..ir.func import Function, IRModule
-from ..ir.functor import collect
+from ..ir.functor import collect_stmts
 from ..ir.passes.lower_task_mapping import lower_task_mappings
 from ..ir.passes.simplify import simplify
 from ..ir.passes.verify import IRVerificationError, verify_function
@@ -42,7 +42,7 @@ def analyze_function(func: Function,
         return report    # a malformed function would crash the other checks
 
     seen_mappings = set()
-    for stmt in collect(func.body, ForTaskStmt):
+    for stmt in collect_stmts(func.body, ForTaskStmt):
         if id(stmt.mapping) in seen_mappings:
             continue
         seen_mappings.add(id(stmt.mapping))

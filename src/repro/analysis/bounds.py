@@ -19,7 +19,7 @@ from typing import Optional
 from ..ir.expr import (BinaryExpr, BlockIndex, Call, Cast, Constant, Expr,
                        IfThenElse, TensorElement, ThreadIndex, UnaryExpr, Var)
 from ..ir.func import Function
-from ..ir.functor import collect
+from ..ir.functor import collect_stmts, contains
 from ..ir.stmt import (AssignStmt, BarrierStmt, BufferStoreStmt, DeclareStmt,
                        EvaluateStmt, ForStmt, ForTaskStmt, IfStmt, LetStmt,
                        SeqStmt, Stmt)
@@ -39,17 +39,27 @@ def _dim_extent(dims, axis: str) -> int:
 
 
 class IntervalEnv:
-    """Symbolic ranges for variables plus guard facts on expression keys."""
+    """Symbolic ranges for variables plus guard facts on expression keys.
 
-    def __init__(self, thread_dims, block_dims, reassigned=frozenset()):
+    An env and every env derived from it share one :func:`expr_key` memo,
+    so a walk keys each distinct expression node once.
+    """
+
+    def __init__(self, thread_dims, block_dims, reassigned=frozenset(),
+                 keys: Optional[dict] = None):
         self.thread_dims = tuple(thread_dims)
         self.block_dims = tuple(block_dims)
         self.reassigned = reassigned
+        self.keys = {} if keys is None else keys   # the expr_key memo
         self.vars: dict = {}      # var _id -> Interval
         self.facts: dict = {}     # expr_key -> Interval
 
+    def key(self, e: Expr):
+        return expr_key(e, self.keys)
+
     def child(self) -> 'IntervalEnv':
-        env = IntervalEnv(self.thread_dims, self.block_dims, self.reassigned)
+        env = IntervalEnv(self.thread_dims, self.block_dims, self.reassigned,
+                          self.keys)
         env.vars = dict(self.vars)
         env.facts = dict(self.facts)
         return env
@@ -60,9 +70,10 @@ class IntervalEnv:
     # -- evaluation -------------------------------------------------------
     def interval_of(self, e: Expr) -> Interval:
         iv = self._raw(e)
-        fact = self.facts.get(expr_key(e))
-        if fact is not None:
-            iv = iv.intersect(fact)
+        if self.facts:
+            fact = self.facts.get(self.key(e))
+            if fact is not None:
+                iv = iv.intersect(fact)
         return iv
 
     def _raw(self, e: Expr) -> Interval:
@@ -155,7 +166,7 @@ class IntervalEnv:
             self._cap(cond.b, lo=ia.lo, hi=ia.hi)
 
     def _cap(self, e: Expr, lo: Optional[int] = None, hi: Optional[int] = None):
-        key = expr_key(e)
+        key = self.key(e)
         cur = self.facts.get(key, Interval.unknown())
         self.facts[key] = cur.intersect(Interval(lo, hi))
         # a capped Var also tightens its binding-independent fact lookups
@@ -168,10 +179,11 @@ class _BoundsChecker:
         self.func = func
         self.report = report
         self.seen = set()    # (site id, dim, verdict kind) dedup
+        self._loads: dict = {}    # contains() memo: TensorElement below?
 
     def run(self):
         reassigned = frozenset(
-            s.var._id for s in collect(self.func.body, AssignStmt))
+            s.var._id for s in collect_stmts(self.func.body, AssignStmt))
         env = IntervalEnv(self.func.block_dim, self.func.grid_dim, reassigned)
         self._stmt(self.func.body, env)
 
@@ -224,6 +236,8 @@ class _BoundsChecker:
 
     # -- expressions ------------------------------------------------------
     def _expr(self, e: Expr, env: IntervalEnv):
+        if not contains(e, TensorElement, self._loads):
+            return      # no access below: nothing to check
         if isinstance(e, TensorElement):
             if isinstance(e.base, Var) and isinstance(e.base.type, TensorType):
                 self._access(e.base, e.indices, env, kind='load')
@@ -260,7 +274,7 @@ class _BoundsChecker:
             return
         for dim, (idx, extent) in enumerate(zip(indices, ttype.shape)):
             site = (id(idx), dim)
-            if collect(idx, TensorElement):
+            if contains(idx, TensorElement, self._loads):
                 if ('note', site) not in self.seen:
                     self.seen.add(('note', site))
                     self.report.add(Finding(

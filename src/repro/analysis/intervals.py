@@ -10,7 +10,8 @@ reference interpreter implement.
 :func:`expr_key` gives a hashable structural fingerprint of an ``ir.expr``
 tree so guard facts learned about an expression (``gi < m`` caps the range
 of ``gi``) can be recalled at the access site even though the two ``gi``
-trees are distinct Python objects.
+trees are distinct Python objects.  A walk passes one key memo to every
+call, so each distinct node of a shared (DAG) tree is keyed once.
 """
 from __future__ import annotations
 
@@ -146,36 +147,49 @@ class Interval:
         return Interval(lo, hi)
 
 
-def expr_key(e: Expr):
+def expr_key(e: Expr, memo: Optional[dict] = None):
     """Hashable structural fingerprint of an expression tree.
 
     Two structurally identical trees — e.g. the ``gi`` inside a guard and
     the ``gi`` inside the guarded access, rewritten independently by the
     simplifier — map to the same key, which is what lets guard facts be
     recalled at access sites.
+
+    ``memo`` maps ``id(node)`` to ``(node, key)``; pass the same dict to
+    every call of one walk so a node is keyed once however many parents
+    share it.  Each entry holds its node, so the ``id`` cannot be reused.
     """
+    if memo is None:
+        memo = {}
+    hit = memo.get(id(e))
+    if hit is not None:
+        return hit[1]
     if isinstance(e, Var):
-        return ('var', e._id)
-    if isinstance(e, Constant):
-        return ('const', e.value)
-    if isinstance(e, ThreadIndex):
-        return ('tid', e.dim)
-    if isinstance(e, BlockIndex):
-        return ('bid', e.dim)
-    if isinstance(e, BinaryExpr):
-        return ('bin', e.op, expr_key(e.a), expr_key(e.b))
-    if isinstance(e, UnaryExpr):
-        return ('un', e.op, expr_key(e.a))
-    if isinstance(e, Cast):
-        return ('cast', e.dtype.name, expr_key(e.expr))
-    if isinstance(e, TensorElement):
-        return ('elem', expr_key(e.base), tuple(expr_key(i) for i in e.indices))
-    if isinstance(e, IfThenElse):
-        return ('ite', expr_key(e.cond), expr_key(e.then_expr),
-                expr_key(e.else_expr))
-    if isinstance(e, Call):
-        return ('call', e.func_name, tuple(expr_key(a) for a in e.args))
-    raise TypeError(f'expr_key: unhandled node {type(e).__name__}')
+        key = ('var', e._id)
+    elif isinstance(e, Constant):
+        key = ('const', e.value)
+    elif isinstance(e, ThreadIndex):
+        key = ('tid', e.dim)
+    elif isinstance(e, BlockIndex):
+        key = ('bid', e.dim)
+    elif isinstance(e, BinaryExpr):
+        key = ('bin', e.op, expr_key(e.a, memo), expr_key(e.b, memo))
+    elif isinstance(e, UnaryExpr):
+        key = ('un', e.op, expr_key(e.a, memo))
+    elif isinstance(e, Cast):
+        key = ('cast', e.dtype.name, expr_key(e.expr, memo))
+    elif isinstance(e, TensorElement):
+        key = ('elem', expr_key(e.base, memo),
+               tuple(expr_key(i, memo) for i in e.indices))
+    elif isinstance(e, IfThenElse):
+        key = ('ite', expr_key(e.cond, memo), expr_key(e.then_expr, memo),
+               expr_key(e.else_expr, memo))
+    elif isinstance(e, Call):
+        key = ('call', e.func_name, tuple(expr_key(a, memo) for a in e.args))
+    else:
+        raise TypeError(f'expr_key: unhandled node {type(e).__name__}')
+    memo[id(e)] = (e, key)
+    return key
 
 
 class AffineForm:

@@ -52,7 +52,7 @@ from typing import List, Optional
 from ..ir.expr import (BinaryExpr, BlockIndex, Call, Cast, Constant, Expr,
                        IfThenElse, TensorElement, ThreadIndex, UnaryExpr, Var)
 from ..ir.func import Function
-from ..ir.functor import collect
+from ..ir.functor import collect, collect_stmts, contains
 from ..ir.stmt import (AssignStmt, BarrierStmt, BufferStoreStmt, DeclareStmt,
                        EvaluateStmt, ForStmt, ForTaskStmt, IfStmt, LetStmt,
                        SeqStmt, Stmt)
@@ -70,7 +70,7 @@ def _const_int(e: Expr) -> Optional[int]:
 
 
 def _contains_barrier(s: Stmt) -> bool:
-    return bool(collect(s, BarrierStmt))
+    return bool(collect_stmts(s, BarrierStmt))
 
 
 class _Access:
@@ -105,22 +105,37 @@ class _RaceChecker:
         self.uniform: set = set()        # var ids uniform across threads
         self.independent: set = set()    # var ids that differ per thread
         self.reassigned = frozenset(
-            s.var._id for s in collect(func.body, AssignStmt))
+            s.var._id for s in collect_stmts(func.body, AssignStmt))
         self._coverage_cache: dict = {}
         self._reported: set = set()
+        self._scans: dict = {}    # id(expr) -> (expr, reads threadIdx, vars)
+        self._keys: dict = {}     # the expr_key memo of this walk
+        self._loads: dict = {}    # contains() memo: TensorElement below?
 
     # ------------------------------------------------------------------
     def run(self):
         env = IntervalEnv(self.func.block_dim, self.func.grid_dim,
-                          self.reassigned)
+                          self.reassigned, self._keys)
         self._stmt(self.func.body, env, shift={}, guards=[], taskctx=[])
         self._check_pairs()
 
     # -- thread dependence ---------------------------------------------
+    def _scan(self, e: Expr):
+        """``(e, reads threadIdx?, its Var occurrences in pre-order)``,
+        computed once per distinct expression node."""
+        hit = self._scans.get(id(e))
+        if hit is None:
+            found = collect(e, (ThreadIndex, Var))
+            hit = self._scans[id(e)] = (
+                e, any(isinstance(n, ThreadIndex) for n in found),
+                [n for n in found if isinstance(n, Var)])
+        return hit
+
     def _thread_dependent(self, e: Expr) -> bool:
-        if collect(e, ThreadIndex):
+        _, reads_thread, variables = self._scan(e)
+        if reads_thread:
             return True
-        return any(v._id in self.independent for v in collect(e, Var))
+        return any(v._id in self.independent for v in variables)
 
     # -- walking --------------------------------------------------------
     def _stmt(self, s: Stmt, env, shift, guards, taskctx):
@@ -198,6 +213,8 @@ class _RaceChecker:
             raise TypeError(f'races: unhandled stmt {type(s).__name__}')
 
     def _reads(self, e: Expr, env, shift, guards, taskctx):
+        if not contains(e, TensorElement, self._loads):
+            return      # no load below
         if isinstance(e, TensorElement):
             if isinstance(e.base, Var):
                 self._record(e.base, e.indices, False, id(e), env, shift,
@@ -266,14 +283,15 @@ class _RaceChecker:
 
     def _opaque(self, e: Expr, side: int, shift: dict) -> AffineForm:
         shift_items = tuple(sorted(
-            (v._id, shift[v._id]) for v in collect(e, Var)
+            (v._id, shift[v._id]) for v in self._scan(e)[2]
             if v._id in shift))
         tag = side if self._thread_dependent(e) else 'shared'
-        return AffineForm.term(('x', expr_key(e), tag, shift_items))
+        return AffineForm.term(('x', expr_key(e, self._keys), tag,
+                                shift_items))
 
     # -- proofs ---------------------------------------------------------
     def _shift_free(self, e: Expr, acc: _Access) -> bool:
-        return not any(acc.shift.get(v._id) for v in collect(e, Var))
+        return not any(acc.shift.get(v._id) for v in self._scan(e)[2])
 
     def _dim_disjoint(self, ea: Expr, eb: Expr, a: _Access, b: _Access) -> bool:
         diff = self._affine(ea, 0, a.shift) - self._affine(eb, 1, b.shift)
@@ -340,12 +358,12 @@ class _RaceChecker:
 
     def _exclusive_branches(self, a: _Access, b: _Access) -> bool:
         """Opposite arms of the same thread-uniform condition."""
-        ga = {(expr_key(c), neg) for c, neg in a.guards
+        ga = {(expr_key(c, self._keys), neg) for c, neg in a.guards
               if not self._thread_dependent(c)}
         for c, neg in b.guards:
             if self._thread_dependent(c):
                 continue
-            if (expr_key(c), not neg) in ga:
+            if (expr_key(c, self._keys), not neg) in ga:
                 return True
         return False
 

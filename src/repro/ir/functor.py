@@ -4,6 +4,13 @@
 reconstructs the tree bottom-up, sharing unchanged sub-trees.  Both dispatch
 on node class via a memoized method table, so adding a node type only
 requires adding one ``visit_X`` method.
+
+Rewriting shares sub-trees, so a lowered kernel is a DAG: one index
+expression object can sit under many statements.  :class:`MemoRewriter`
+rewrites each distinct expression object once per instance,
+:func:`contains` answers "is there a node of this type below?" once per
+distinct node, and :func:`collect_stmts` finds statements without entering
+any expression.
 """
 from __future__ import annotations
 
@@ -14,26 +21,38 @@ from .expr import (Expr, Var, Constant, BinaryExpr, UnaryExpr, Cast, TensorEleme
 from .stmt import (Stmt, DeclareStmt, BufferStoreStmt, AssignStmt, LetStmt, ForStmt,
                    ForTaskStmt, IfStmt, SeqStmt, BarrierStmt, EvaluateStmt)
 
-__all__ = ['IRVisitor', 'IRRewriter', 'collect']
+__all__ = ['IRVisitor', 'IRRewriter', 'MemoRewriter', 'collect', 'collect_stmts',
+           'contains']
 
 
 class NodeFunctor:
-    """Dispatch ``visit(node)`` to ``visit_<ClassName>`` with per-class memoization."""
+    """Dispatch ``visit(node)`` to ``visit_<ClassName>``.
 
-    def __init__(self):
-        self._dispatch: dict[type, Callable] = {}
+    The handler of each node class is looked up once per functor class, not
+    once per instance: many walks (``collect``, ``substitute``) build a
+    short-lived functor per call.
+    """
+
+    _handlers: dict[type, Callable] = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._handlers = {}
 
     def visit(self, node):
-        method = self._dispatch.get(type(node))
-        if method is None:
-            name = 'visit_' + type(node).__name__
-            method = getattr(self, name, None)
-            if method is None:
-                raise NotImplementedError(
-                    f'{type(self).__name__} has no handler for {type(node).__name__}'
-                )
-            self._dispatch[type(node)] = method
-        return method(node)
+        handler = self._handlers.get(type(node))
+        if handler is None:
+            handler = self._resolve(type(node))
+        return handler(self, node)
+
+    def _resolve(self, cls: type) -> Callable:
+        handler = getattr(type(self), 'visit_' + cls.__name__, None)
+        if handler is None:
+            raise NotImplementedError(
+                f'{type(self).__name__} has no handler for {cls.__name__}'
+            )
+        self._handlers[cls] = handler
+        return handler
 
     def __call__(self, node):
         return self.visit(node)
@@ -290,3 +309,108 @@ def collect(node, node_types: Type | tuple) -> list:
     collector = _Collector(node_types)
     collector.visit(node)
     return collector.found
+
+
+class MemoRewriter(IRRewriter):
+    """An :class:`IRRewriter` that rewrites each distinct expression once.
+
+    The rewrite of an expression is memoized by object identity for the
+    life of the instance, so a sub-tree shared by many parents costs one
+    rewrite.  Each memo entry holds its node, so the node's ``id`` cannot be
+    reused while the entry lives.  Only a rewriter whose expression rewrite
+    is a function of the node alone may use the memo as is; one that reads
+    mutable context must call :meth:`forget` whenever that context changes
+    a fact an earlier rewrite may have read.  Statements are not memoized.
+
+    A rewriter whose every result rewrites to itself sets ``idempotent``:
+    each result is then memoized as its own rewrite too, so a later visit
+    of a result (say, after substituting into part of it) costs nothing.
+    """
+
+    idempotent = False
+
+    def __init__(self):
+        super().__init__()
+        self._memo: dict[int, tuple] = {}   # id(expr) -> (expr, rewrite)
+
+    def visit(self, node):
+        hit = self._memo.get(id(node))
+        if hit is not None:
+            return hit[1]
+        handler = self._handlers.get(type(node))
+        if handler is None:
+            handler = self._resolve(type(node))
+        result = handler(self, node)
+        if isinstance(node, Expr):
+            self._memo[id(node)] = (node, result)
+            if self.idempotent and result is not node:
+                self._memo.setdefault(id(result), (result, result))
+        return result
+
+    def forget(self):
+        """Drop every memoized rewrite."""
+        self._memo.clear()
+
+
+def collect_stmts(stmt, stmt_types: Type | tuple) -> list:
+    """Collect the statements of the given type(s) under ``stmt`` in pre-order.
+
+    Same result as :func:`collect` for statement types, but the walk never
+    enters an expression.
+    """
+    found: list = []
+    stack = [stmt]
+    while stack:
+        s = stack.pop()
+        if isinstance(s, stmt_types):
+            found.append(s)
+        if isinstance(s, SeqStmt):
+            stack.extend(reversed(s.stmts))
+        elif isinstance(s, IfStmt):
+            if s.else_body is not None:
+                stack.append(s.else_body)
+            stack.append(s.then_body)
+        elif isinstance(s, (ForStmt, ForTaskStmt, LetStmt)):
+            stack.append(s.body)
+    return found
+
+
+class _Finder(IRVisitor):
+    """Does a node of some type(s) occur below each visited node?"""
+
+    def __init__(self, node_types: Type | tuple, memo: dict):
+        super().__init__()
+        self.node_types = node_types
+        self.memo = memo        # id(node) -> (node, found below?)
+        self.found = False
+
+    def visit(self, n):
+        hit = self.memo.get(id(n))
+        if hit is not None:
+            self.found = self.found or hit[1]
+            return
+        outer, self.found = self.found, False
+        if isinstance(n, self.node_types):
+            self.found = True
+        else:
+            NodeFunctor.visit(self, n)
+        self.memo[id(n)] = (n, self.found)
+        self.found = outer or self.found
+
+
+def contains(node, node_types: Type | tuple, memo: dict | None = None) -> bool:
+    """Whether ``node`` is, or has below it, a node of the given type(s).
+
+    Same answer as ``bool(collect(node, node_types))``.  Pass one ``memo``
+    dict (per ``node_types``) to every call of a walk and each distinct node
+    is visited once across all of them; each entry holds its node, so ids
+    are not reused.  A memo hit on ``node`` itself costs one dict lookup.
+    """
+    if memo is None:
+        memo = {}
+    hit = memo.get(id(node))
+    if hit is not None:
+        return hit[1]
+    finder = _Finder(node_types, memo)
+    finder.visit(node)
+    return finder.found

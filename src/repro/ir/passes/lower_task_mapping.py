@@ -75,6 +75,12 @@ def _lower_mapping(mapping: TaskMapping, worker: Expr,
 
 
 class _TaskMappingLowerer(IRRewriter):
+    def visit(self, node):
+        # only statements are rewritten: expressions are returned unvisited
+        if isinstance(node, Expr):
+            return node
+        return IRRewriter.visit(self, node)
+
     def visit_ForTaskStmt(self, s: ForTaskStmt):
         body = self.visit(s.body)
 

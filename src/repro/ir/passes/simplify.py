@@ -14,6 +14,11 @@ interpreter.  Rules are standard and conservative:
 
 Bounds are tracked for loop variables and for spatial de-linearization
 patterns (``expr % m`` has range ``[0, m)``).
+
+Lowering shares index sub-trees, so one pass rewrites, and ranges, each
+distinct expression object once (:class:`~repro.ir.functor.MemoRewriter`).
+Both memos are dropped when a variable whose range or constant value an
+earlier lookup read is bound to a different one.
 """
 from __future__ import annotations
 
@@ -22,8 +27,8 @@ from typing import Optional
 
 from ..expr import (Expr, Var, Constant, BinaryExpr, UnaryExpr, Cast, TensorElement,
                     IfThenElse, Call, ThreadIndex, BlockIndex, convert)
-from ..functor import IRRewriter
-from ..stmt import ForStmt, IfStmt, SeqStmt, Stmt
+from ..functor import MemoRewriter, collect_stmts
+from ..stmt import AssignStmt, DeclareStmt, ForStmt, IfStmt, SeqStmt, Stmt
 
 __all__ = ['simplify', 'const_int']
 
@@ -80,7 +85,10 @@ class _Range:
         return self.low is not None and self.high is not None
 
 
-class Simplifier(IRRewriter):
+class Simplifier(MemoRewriter):
+    # every rule returns a node no rule rewrites further under the same facts
+    idempotent = True
+
     def __init__(self, thread_dims: Optional[tuple[int, int, int]] = None,
                  block_dims: Optional[tuple[int, int, int]] = None,
                  reassigned_vars: Optional[set[int]] = None):
@@ -90,10 +98,36 @@ class Simplifier(IRRewriter):
         self._block_dims = block_dims
         self._reassigned = reassigned_vars or set()
         self._const_vars: dict[int, Constant] = {}  # constant, never-reassigned declarations
+        self._range_memo: dict[int, tuple] = {}    # id(expr) -> (expr, range)
+        self._read: set[int] = set()    # var ids looked up since the last forget
+
+    def forget(self):
+        super().forget()
+        self._range_memo.clear()
+        self._read.clear()
+
+    def _bind_range(self, var: Var, r: _Range):
+        old = self._ranges.get(var._id)
+        if var._id in self._read and (old is None or (old.low, old.high) != (r.low, r.high)):
+            self.forget()
+        self._ranges[var._id] = r
+
+    def _bind_const(self, var: Var, value: Constant):
+        if var._id in self._read and self._const_vars.get(var._id) is not value:
+            self.forget()
+        self._const_vars[var._id] = value
 
     # ---- range analysis --------------------------------------------------
 
     def range_of(self, e: Expr) -> _Range:
+        hit = self._range_memo.get(id(e))
+        if hit is not None:
+            return hit[1]
+        r = self._range_of(e)
+        self._range_memo[id(e)] = (e, r)
+        return r
+
+    def _range_of(self, e: Expr) -> _Range:
         if isinstance(e, Constant):
             v = const_int(e)
             if v is not None:
@@ -103,6 +137,7 @@ class Simplifier(IRRewriter):
         if isinstance(e, BlockIndex) and self._block_dims is not None:
             return _Range(0, self._block_dims['xyz'.index(e.dim)])
         if isinstance(e, Var):
+            self._read.add(e._id)
             return self._ranges.get(e._id, _Range(None, None))
         if isinstance(e, BinaryExpr):
             ra, rb = self.range_of(e.a), self.range_of(e.b)
@@ -227,6 +262,7 @@ class Simplifier(IRRewriter):
         return IfThenElse(cond, t, f)
 
     def visit_Var(self, e: Var):
+        self._read.add(e._id)
         return self._const_vars.get(e._id, e)
 
     def visit_ThreadIndex(self, e):
@@ -242,11 +278,10 @@ class Simplifier(IRRewriter):
     # ---- statements -----------------------------------------------------------
 
     def visit_DeclareStmt(self, s):
-        from ..stmt import DeclareStmt
         init = self.visit(s.init) if s.init is not None else None
         if (init is not None and isinstance(init, Constant)
                 and s.var._id not in self._reassigned):
-            self._const_vars[s.var._id] = init
+            self._bind_const(s.var, init)
         if init is s.init:
             return s
         return DeclareStmt(s.var, init)
@@ -257,7 +292,7 @@ class Simplifier(IRRewriter):
         if n is not None:
             if n == 0:
                 return SeqStmt(())
-            self._ranges[s.loop_var._id] = _Range(0, n)
+            self._bind_range(s.loop_var, _Range(0, n))
         body = self.visit(s.body)
         if n == 1:
             from ..tools import substitute
@@ -302,10 +337,8 @@ def simplify(node):
     ``%``/``//`` that task-mapping lowering produces.
     """
     from ..func import Function
-    from ..functor import collect
-    from ..stmt import AssignStmt
     if isinstance(node, Function):
-        reassigned = {s.var._id for s in collect(node.body, AssignStmt)}
+        reassigned = {s.var._id for s in collect_stmts(node.body, AssignStmt)}
         simplifier = Simplifier(thread_dims=node.block_dim, block_dims=node.grid_dim,
                                 reassigned_vars=reassigned)
         body = simplifier.visit(node.body)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from ..expr import (Var, TensorElement, ThreadIndex, Expr)
 from ..func import Function
-from ..functor import IRVisitor, collect
+from ..functor import IRVisitor, NodeFunctor, contains
 from ..stmt import (AssignStmt, BarrierStmt, BufferStoreStmt, DeclareStmt, ForStmt,
                     ForTaskStmt, IfStmt, LetStmt)
 from ..types import TensorType
@@ -29,10 +29,6 @@ class IRVerificationError(Exception):
     pass
 
 
-def _depends_on_thread(e: Expr) -> bool:
-    return len(collect(e, ThreadIndex)) > 0
-
-
 class _Verifier(IRVisitor):
     def __init__(self, func: Function, lowered: bool):
         super().__init__()
@@ -40,9 +36,20 @@ class _Verifier(IRVisitor):
         self.lowered = lowered
         self.declared: set[int] = {p._id for p in func.params}
         self.divergent_depth = 0
+        self._checked: dict[int, Expr] = {}   # id -> expression that passed
+        self._thread_reads: dict = {}         # contains() memo: threadIdx below?
 
     def fail(self, message: str):
         raise IRVerificationError(f'in kernel {self.func.name!r}: {message}')
+
+    def visit(self, node):
+        # the declared set only grows, so an expression that passed once
+        # passes again: check each distinct expression object once
+        if id(node) in self._checked:
+            return
+        NodeFunctor.visit(self, node)
+        if isinstance(node, Expr):
+            self._checked[id(node)] = node
 
     # -- expressions ----------------------------------------------------------
 
@@ -107,7 +114,7 @@ class _Verifier(IRVisitor):
 
     def visit_IfStmt(self, s: IfStmt):
         self.visit(s.cond)
-        divergent = _depends_on_thread(s.cond)
+        divergent = contains(s.cond, ThreadIndex, self._thread_reads)
         self.divergent_depth += int(divergent)
         self.visit(s.then_body)
         if s.else_body is not None:

@@ -7,7 +7,7 @@ from .expr import (Expr, Var, Constant, BinaryExpr, UnaryExpr, Cast, TensorEleme
                    IfThenElse, Call, ThreadIndex, BlockIndex)
 from .stmt import (Stmt, DeclareStmt, BufferStoreStmt, AssignStmt, LetStmt, ForStmt,
                    ForTaskStmt, IfStmt, SeqStmt, BarrierStmt, EvaluateStmt)
-from .functor import IRRewriter, IRVisitor
+from .functor import IRRewriter, IRVisitor, MemoRewriter
 
 __all__ = ['expr_repr', 'stmt_repr', 'func_repr', 'substitute', 'free_vars', 'rename_vars']
 
@@ -103,7 +103,7 @@ def func_repr(func) -> str:
     return f'{head}\n{stmt_repr(func.body, 1)}'
 
 
-class _Substituter(IRRewriter):
+class _Substituter(MemoRewriter):
     def __init__(self, mapping: Mapping[Var, Expr]):
         super().__init__()
         self.mapping = dict(mapping)
@@ -116,7 +116,8 @@ def substitute(node, mapping: Mapping[Var, Expr]):
     """Replace free occurrences of variables by expressions.
 
     Note: bindings are not alpha-renamed; callers must not substitute a
-    variable that is re-bound inside ``node``.
+    variable that is re-bound inside ``node``.  A sub-tree shared by several
+    parents is rewritten once, and its rewrite is shared.
     """
     if not mapping:
         return node

@@ -1,7 +1,7 @@
 """The telemetry facade the serving stack talks to.
 
 A :class:`Telemetry` bundles one run's :class:`~repro.obs.metrics.MetricsRegistry`
-and (optionally) one :class:`~repro.obs.tracing.Tracer` behind the handful
+and one :class:`~repro.obs.tracing.Tracer` behind the handful
 of verbs the simulators actually speak — ``arrival``, ``reject``, ``lost``,
 ``requeue``, ``batch_formed``, ``batch_done``, ``lifecycle_event``,
 ``autoscale_decision``, ``queue_depth``, ``memory_committed``.  Each verb
@@ -32,41 +32,38 @@ __all__ = ['Telemetry', 'NullTelemetry', 'NULL_TELEMETRY']
 
 
 class Telemetry:
-    """One run's metrics + trace, updated together through one facade."""
+    """One run's metrics + trace, updated together through one facade.
+
+    Without a ``tracer`` it records into a fresh :class:`Tracer`.
+    """
 
     def __init__(self, tracer: Optional[Tracer] = None,
                  metrics: Optional[MetricsRegistry] = None):
-        if tracer is None:
-            tracer = Tracer()
-        self.tracer = tracer
+        self.tracer = tracer if tracer is not None else Tracer()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
 
     # -- request lifecycle ---------------------------------------------------
 
     def arrival(self, request, now: float) -> None:
         self.metrics.counter('sim.requests.arrived', unit='requests').add()
-        if self.tracer is not None:
-            self.tracer.arrival(request, now)
+        self.tracer.arrival(request, now)
 
     def reject(self, request, now: float, replica: Optional[int] = None,
                reason: str = 'admission') -> None:
         self.metrics.counter('sim.requests.rejected', unit='requests').add()
-        if self.tracer is not None:
-            self.tracer.reject(request, now, replica=replica, reason=reason)
+        self.tracer.reject(request, now, replica=replica, reason=reason)
 
     def lost(self, request, now: float, replica: Optional[int] = None,
              reason: str = 'failure', tokens: int = 0) -> None:
         self.metrics.counter('sim.requests.lost', unit='requests').add()
         if tokens:
             self.metrics.counter('sim.tokens.lost', unit='tokens').add(tokens)
-        if self.tracer is not None:
-            self.tracer.lost(request, now, replica=replica, reason=reason,
-                             tokens=tokens)
+        self.tracer.lost(request, now, replica=replica, reason=reason,
+                         tokens=tokens)
 
     def requeue(self, request, now: float, replica: int) -> None:
         self.metrics.counter('sim.requests.requeued', unit='requests').add()
-        if self.tracer is not None:
-            self.tracer.requeue(request, now, replica)
+        self.tracer.requeue(request, now, replica)
 
     # -- batching / execution ------------------------------------------------
 
@@ -78,9 +75,8 @@ class Telemetry:
                                unit='requests').observe(batch.size)
         if queued_after is not None:
             self.queue_depth(now, queued_after, replica=replica)
-        if self.tracer is not None:
-            self.tracer.batch_formed(batch, replica, now,
-                                     queued_after=queued_after)
+        self.tracer.batch_formed(batch, replica, now,
+                                 queued_after=queued_after)
 
     def batch_done(self, batch, now: float) -> None:
         self.metrics.counter('sim.batches.executed', unit='batches').add()
@@ -92,8 +88,7 @@ class Telemetry:
             self.metrics.histogram('sim.request.latency_ms',
                                    unit='ms').observe(
                 (now - request.arrival) * 1e3)
-        if self.tracer is not None:
-            self.tracer.batch_done(batch, now)
+        self.tracer.batch_done(batch, now)
 
     # -- continuous (iteration-level) decoding -------------------------------
 
@@ -104,8 +99,7 @@ class Telemetry:
         if width is not None:
             self.metrics.histogram('sim.decode.join_width',
                                    unit='slots').observe(width)
-        if self.tracer is not None:
-            self.tracer.decode_join(request, now, replica, width=width)
+        self.tracer.decode_join(request, now, replica, width=width)
 
     def decode_step(self, now: float, replica: int, width: int,
                     tokens: int, kv_committed_bytes: int = 0) -> None:
@@ -128,29 +122,26 @@ class Telemetry:
                              unit='tokens').add(tokens)
         self.metrics.histogram('sim.request.latency_ms', unit='ms').observe(
             (now - request.arrival) * 1e3)
-        if self.tracer is not None:
-            self.tracer.decode_complete(request, now, replica, tokens)
+        self.tracer.decode_complete(request, now, replica, tokens)
 
     # -- control plane -------------------------------------------------------
 
     def lifecycle_event(self, kind: str, now: float, replica: int,
                         detail: str = '') -> None:
         self.metrics.counter(f'sim.lifecycle.{kind}', unit='events').add()
-        if self.tracer is not None:
-            args = {'replica': replica}
-            if detail:
-                args['detail'] = detail
-            self.tracer.instant(f'lifecycle:{kind}', now,
-                                track=LIFECYCLE_TRACK, **args)
+        args = {'replica': replica}
+        if detail:
+            args['detail'] = detail
+        self.tracer.instant(f'lifecycle:{kind}', now,
+                            track=LIFECYCLE_TRACK, **args)
 
     def autoscale_decision(self, now: float, active: int, target: int,
                            policy: str = '') -> None:
         self.metrics.counter('sim.autoscale.decisions', unit='events').add()
         self.metrics.gauge('sim.replicas.target',
                            unit='replicas').set(now, target)
-        if self.tracer is not None:
-            self.tracer.instant('autoscale', now, track=LIFECYCLE_TRACK,
-                                active=active, target=target, policy=policy)
+        self.tracer.instant('autoscale', now, track=LIFECYCLE_TRACK,
+                            active=active, target=target, policy=policy)
 
     # -- sampled series ------------------------------------------------------
 
@@ -179,10 +170,7 @@ class Telemetry:
         committed memory become graphs under the same timeline as the
         request/batch spans.
         """
-        if self.tracer is None:
-            doc = {'traceEvents': [], 'displayTimeUnit': 'ms'}
-        else:
-            doc = self.tracer.chrome_trace()
+        doc = self.tracer.chrome_trace()
         for name in self.metrics.names():
             metric = self.metrics[name]
             snap = metric.snapshot()

@@ -147,6 +147,9 @@ class DynamicBatcher:
         :meth:`offer` when the policy's ``max_queue`` bound should apply.
         """
         self._validate(request)
+        self._push(request)
+
+    def _push(self, request: Request) -> None:
         self._queues[request.model].append(request)
         self._queued_samples[request.model] += request.size
 
@@ -164,7 +167,7 @@ class DynamicBatcher:
         cap = self.policy.max_queue
         if cap is not None and self._queued_samples[request.model] + request.size > cap:
             return False
-        self.enqueue(request)
+        self._push(request)     # validated above: once per arrival
         return True
 
     def pending(self, model: Optional[str] = None) -> int:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from ..gpusim.decode import DecodeCostModel
-from ..obs import Telemetry
+from ..obs import NULL_TELEMETRY, Telemetry
 from .batcher import (Batch, BatchingPolicy, ContinuousBatcher, DecodePolicy,
                       DynamicBatcher)
 from .engine import Lane, ReplicaEngine
@@ -253,8 +253,10 @@ class DispatchEngine(ReplicaEngine):
         lane.busy_seconds += service
         lane.in_flight = batch
         self.batches.append(batch)
-        self.telemetry.batch_formed(batch, lane.index, now,
-                                    queued_after=batcher.pending())
+        if self.telemetry is not NULL_TELEMETRY:
+            # the queue depth only feeds the trace: an unobserved run skips it
+            self.telemetry.batch_formed(batch, lane.index, now,
+                                        queued_after=batcher.pending())
         self._push(lane.gpu_free_at, self._gpu_free, lane.index, lane.epoch)
 
     # -- lifecycle -------------------------------------------------------------

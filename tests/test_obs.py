@@ -176,6 +176,10 @@ def sim_run():
     return trace_, telemetry, stats
 
 
+def test_telemetry_without_tracer_records_into_a_fresh_one():
+    assert isinstance(Telemetry(tracer=None).tracer, Tracer)
+
+
 class TestReconciliation:
     def test_span_totals_match_stats(self, sim_run):
         trace_, telemetry, stats = sim_run

@@ -306,6 +306,21 @@ class TestBatcher:
         with pytest.raises(ValueError, match='max_batch'):
             DynamicBatcher(BatchingPolicy(max_batch=16), {'m': (1, 2, 4)})
 
+    def test_offer_validates_each_arrival_once(self, registry, monkeypatch):
+        calls = []
+        validate = DynamicBatcher._validate
+
+        def counted(self, request):
+            calls.append(request.req_id)
+            return validate(self, request)
+
+        monkeypatch.setattr(DynamicBatcher, '_validate', counted)
+        trace_ = poisson_trace(200, 300, ['tiny'], seed=3)
+        sim = ServerSimulator(registry, BatchingPolicy(max_batch=8, max_wait=1e-3))
+        result = sim.run(trace_)
+        assert len(result.completions) == len(trace_)
+        assert sorted(calls) == sorted(r.req_id for r in trace_)
+
 
 # ---------------------------------------------------------------------------
 # registry
