@@ -8,7 +8,8 @@ provided, used by ablation benchmarks).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
+from functools import cached_property
 
 __all__ = ['DeviceSpec', 'device_family_key', 'RTX3090', 'A100', 'LAPTOP_GPU']
 
@@ -51,6 +52,13 @@ class DeviceSpec:
     @property
     def max_warps_per_sm(self) -> int:
         return self.max_threads_per_sm // self.warp_size
+
+    @cached_property
+    def key(self) -> tuple:
+        """Canonical description of the device: its field values in
+        declaration order (``dataclasses.astuple``), computed once per spec
+        (cache signatures hash it)."""
+        return astuple(self)
 
 
 def device_family_key(device: DeviceSpec) -> tuple:

@@ -87,21 +87,26 @@ def trace(outputs: Tensor | Sequence[Tensor], name: str = 'graph') -> FlowGraph:
 
 
 def _topological_operators(outputs: Sequence[Tensor]) -> list[Operator]:
+    """Producers of ``outputs`` in depth-first post-order (inputs in order)."""
     order: list[Operator] = []
     visited: set[int] = set()
-
-    def visit(op: Operator):
-        if id(op) in visited:
-            return
-        visited.add(id(op))
-        for t in op.inputs:
-            if t.producer is not None:
-                visit(t.producer)
-        order.append(op)
-
-    for t in outputs:
-        if t.producer is not None:
-            visit(t.producer)
+    for out in outputs:
+        root = out.producer
+        if root is None or id(root) in visited:
+            continue
+        visited.add(id(root))
+        stack = [(root, iter(root.inputs))]
+        while stack:
+            op, inputs = stack[-1]
+            for t in inputs:
+                producer = t.producer
+                if producer is not None and id(producer) not in visited:
+                    visited.add(id(producer))
+                    stack.append((producer, iter(producer.inputs)))
+                    break
+            else:
+                stack.pop()
+                order.append(op)
     return order
 
 

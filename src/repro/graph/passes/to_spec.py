@@ -45,53 +45,64 @@ class _RebindBases(IRRewriter):
         return TensorElement(new_base, indices)
 
 
-def build_group_spec(group: FusedGroup) -> GroupSpec:
-    anchor_task = group.anchor.task
-    prologue_ids = {id(op) for op in group.prologue_ops}
-    tensor_of: dict[TensorInput, Tensor] = {}
-    cached_inputs: dict[int, TensorInput] = {}
-    cached_defs: dict[int, object] = {}
-    used_names: set[str] = set()
+class _Definitions:
+    """The spec's outer inputs and inlined prologue definitions of a group."""
 
-    def unique_name(base: str) -> str:
+    def __init__(self, prologue_ops, tensor_of: dict[TensorInput, Tensor]):
+        self.prologue_ids = {id(op) for op in prologue_ops}
+        self.tensor_of = tensor_of
+        self.inputs: dict[int, TensorInput] = {}
+        self.defs: dict[int, object] = {}
+        self.used_names: set[str] = set()
+
+    def unique_name(self, base: str) -> str:
         name = base
         suffix = 1
-        while name in used_names:
+        while name in self.used_names:
             name = f'{base}_{suffix}'
             suffix += 1
-        used_names.add(name)
+        self.used_names.add(name)
         return name
 
-    def outer_input_for(t: Tensor) -> TensorInput:
-        if t._id not in cached_inputs:
-            ti = TensorInput(unique_name(t.name), t.dtype, t.shape)
-            cached_inputs[t._id] = ti
-            tensor_of[ti] = t
-        return cached_inputs[t._id]
+    def outer_input(self, t: Tensor) -> TensorInput:
+        ti = self.inputs.get(t._id)
+        if ti is None:
+            ti = TensorInput(self.unique_name(t.name), t.dtype, t.shape)
+            self.inputs[t._id] = ti
+            self.tensor_of[ti] = t
+        return ti
 
-    def compute_def(t: Tensor):
+    def is_inlined(self, t: Tensor) -> bool:
+        return t.producer is not None and id(t.producer) in self.prologue_ids
+
+    def of(self, t: Tensor):
         """A TensorInput (outer) or GridCompute (inlined prologue chain) for t."""
-        if t._id in cached_defs:
-            return cached_defs[t._id]
-        producer = t.producer
-        if producer is None or id(producer) not in prologue_ids:
-            node = outer_input_for(t)
+        node = self.defs.get(t._id)
+        if node is not None:
+            return node
+        if not self.is_inlined(t):
+            node = self.outer_input(t)
         else:
+            producer = t.producer
             task = producer.task
-            mapping = {task.inputs[i]: compute_def(producer.inputs[i])
-                       for i in range(len(producer.inputs))}
+            mapping = {ti: self.of(x) for ti, x in zip(task.inputs, producer.inputs)}
             value = _RebindBases(mapping).visit(task.output.value)
             node = GridCompute(task.output.name, task.output.shape,
                                task.output.axes, value)
-        cached_defs[t._id] = node
+        self.defs[t._id] = node
         return node
+
+
+def build_group_spec(group: FusedGroup) -> GroupSpec:
+    anchor_task = group.anchor.task
+    tensor_of: dict[TensorInput, Tensor] = {}
+    definitions = _Definitions(group.prologue_ops, tensor_of)
 
     # prologues: anchor inputs produced inside the group get inlined defs
     prologue_defs: dict[TensorInput, GridCompute] = {}
     for ti, tensor in zip(anchor_task.inputs, group.anchor.inputs):
-        producer = tensor.producer
-        if producer is not None and id(producer) in prologue_ids:
-            definition = compute_def(tensor)
+        if definitions.is_inlined(tensor):
+            definition = definitions.of(tensor)
             assert isinstance(definition, GridCompute)
             prologue_defs[ti] = definition
         else:

@@ -22,8 +22,8 @@ from __future__ import annotations
 import math
 from typing import Callable, Optional, Sequence
 
-from .expr import Expr, Var, convert, var as make_var
-from .functor import IRVisitor, collect
+from .expr import Constant, Expr, Var, convert, var as make_var
+from .functor import IRVisitor, NodeFunctor
 from .types import DataType, data_type
 
 __all__ = ['TensorNode', 'TensorInput', 'GridCompute', 'ReduceCompute',
@@ -58,19 +58,18 @@ class TensorInput(TensorNode):
 class GridCompute(TensorNode):
     """``out[axes] = value`` over a rectangular grid of axes."""
 
-    __slots__ = ('axes', 'value')
+    __slots__ = ('axes', 'value', 'is_injective')
 
     def __init__(self, name: str, shape: Sequence[int], axes: Sequence[Var], value: Expr):
-        super().__init__(name, _infer_dtype(value), shape)
+        scan = _ValueScan()
+        scan.visit(value)
+        super().__init__(name, scan.dtype(), shape)
         if len(axes) != len(self.shape):
             raise ValueError('one axis variable per output dimension is required')
         self.axes = tuple(axes)
         self.value = value
-
-    @property
-    def is_injective(self) -> bool:
-        """No reduction inside: every output element is a pure function of inputs."""
-        return len(collect(self.value, ReduceCompute)) == 0
+        #: no reduction inside: every output element is a pure function of inputs
+        self.is_injective: bool = not scan.reduces
 
 
 class ReduceCompute(Expr):
@@ -105,15 +104,40 @@ class ReduceCompute(Expr):
         return BinaryExpr(self.op, a, b)
 
 
-def _infer_dtype(value: Expr) -> DataType:
-    """Result dtype of a computation value (first tensor leaf wins; default f32)."""
-    from .expr import TensorElement, Constant
-    for node in collect(value, (TensorNode, Constant)):
-        if isinstance(node, TensorNode):
-            return node.dtype
-    for node in collect(value, Constant):
-        return node.dtype
-    return data_type('float32')
+class _ValueScan(IRVisitor):
+    """One pre-order walk of a computation value, each distinct node once:
+    its first tensor leaf, its first constant, and whether it reduces."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen: set[int] = set()
+        self.tensor: Optional[TensorNode] = None
+        self.constant: Optional[Constant] = None
+        self.reduces = False
+
+    def visit(self, n):
+        if id(n) in self.seen:
+            return
+        self.seen.add(id(n))
+        if isinstance(n, TensorNode):       # a leaf
+            if self.tensor is None:
+                self.tensor = n
+            return
+        if isinstance(n, Constant):
+            if self.constant is None:
+                self.constant = n
+        elif isinstance(n, ReduceCompute):
+            self.reduces = True
+        NodeFunctor.visit(self, n)
+
+    def dtype(self) -> DataType:
+        """Result dtype of the value: the first tensor leaf's, else the first
+        constant's, else float32."""
+        if self.tensor is not None:
+            return self.tensor.dtype
+        if self.constant is not None:
+            return self.constant.dtype
+        return data_type('float32')
 
 
 def tensor_input(name: str, dtype: DataType | str, shape: Sequence[int]) -> TensorInput:

@@ -58,6 +58,19 @@ def identity_inverse_map(rank: int) -> InverseMap:
     return InverseMap.from_lambda(lambda *axes: list(axes), rank)
 
 
+def _tensor_key(t: TensorNode) -> tuple:
+    return (t.dtype.name, t.shape)
+
+
+def _attr_value(v):
+    """A task attribute as plain, process-stable data."""
+    if isinstance(v, (tuple, list)):
+        return tuple(_attr_value(x) for x in v)
+    if isinstance(v, (bool, int, float, str)) or v is None:
+        return v
+    return repr(v)
+
+
 class Task:
     """An operator's computation: inputs, single output, fusion metadata."""
 
@@ -96,20 +109,10 @@ class Task:
         content-addressed signature of the compilation cache
         (:func:`repro.runtime.cache.task_signature`).
         """
-        def tensor_key(t: TensorNode) -> tuple:
-            return (t.dtype.name, t.shape)
-
-        def attr_value(v):
-            if isinstance(v, (tuple, list)):
-                return tuple(attr_value(x) for x in v)
-            if isinstance(v, (bool, int, float, str)) or v is None:
-                return v
-            return repr(v)
-
-        attrs = tuple(sorted((k, attr_value(v)) for k, v in self.attrs.items()))
+        attrs = tuple(sorted((k, _attr_value(v)) for k, v in self.attrs.items()))
         return (self.name,
-                tuple(tensor_key(i) for i in self.inputs),
-                tensor_key(self.output),
+                tuple(_tensor_key(i) for i in self.inputs),
+                _tensor_key(self.output),
                 attrs)
 
     def inverse_map_of(self, inp: TensorInput) -> InverseMap:

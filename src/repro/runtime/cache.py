@@ -69,7 +69,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
@@ -101,11 +101,6 @@ Schedule = Union[MatmulSchedule, ReduceSchedule]
 
 # ---------------------------------------------------------------------------
 # signatures
-
-
-def _device_key(device: DeviceSpec) -> tuple:
-    """Canonical description of the device (frozen dataclass of scalars)."""
-    return astuple(device)
 
 
 def _expr_fingerprint(e) -> tuple:
@@ -187,7 +182,7 @@ def task_signature(task: Task, device: DeviceSpec,
     Stable across processes: built only from names, shapes, dtypes, scalar
     attributes, and the device spec — never from runtime object identity.
     """
-    payload = (CACHE_FORMAT_VERSION, task.signature_key(), _device_key(device),
+    payload = (CACHE_FORMAT_VERSION, task.signature_key(), device.key,
                fusion, tuple(extras))
     return hashlib.sha256(repr(payload).encode('utf-8')).hexdigest()
 
@@ -234,7 +229,7 @@ def task_family_signature(task: Task, device: DeviceSpec,
     deliberately excluded: both scale with the batch.
     """
     payload = ('family', CACHE_FORMAT_VERSION, *_task_class_payload(task),
-               _device_key(device), tuple(extras))
+               device.key, tuple(extras))
     return hashlib.sha256(repr(payload).encode('utf-8')).hexdigest()
 
 

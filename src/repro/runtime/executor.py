@@ -36,8 +36,11 @@ from ..core.space import (matmul_schedule_space, reduce_schedule_space,
                           split_k_candidates)
 from ..core.tuning import MatmulTuner, HIDET_TUNING_COSTS
 from ..graph.flow_graph import FlowGraph
-from ..graph.passes import (build_group_spec, fold_constants, lower_conv_to_gemm,
-                            partition_graph)
+# the executor lowers convs inside ``fold_constants(graph, lower_convs=True)``;
+# ``lower_conv_to_gemm`` stays a name here because perfbench/layers.py wraps
+# both pass names on this module
+from ..graph.passes import (build_group_spec, fold_constants,  # noqa: F401
+                            lower_conv_to_gemm, partition_graph)
 from ..graph.passes.fuse_partition import FusedGroup
 from ..graph.passes.to_spec import GroupSpec
 from ..gpusim.clock import SimulatedClock
@@ -207,11 +210,7 @@ class HidetExecutor:
         rejected0 = self.tuner.analysis_rejected
         self._namespace = namespace
         try:
-            optimized = fold_constants(lower_conv_to_gemm(fold_constants(graph)))
-            if self.enable_fusion:
-                groups = partition_graph(optimized)
-            else:
-                groups = [FusedGroup(anchor=op) for op in optimized.nodes]
+            optimized, groups = self._partition(graph)
             compiled_ops = [self._compile_group(g) for g in groups]
         finally:
             self._namespace = ''
@@ -275,11 +274,7 @@ class HidetExecutor:
         """
         self._namespace = namespace
         try:
-            optimized = fold_constants(lower_conv_to_gemm(fold_constants(graph)))
-            if self.enable_fusion:
-                groups = partition_graph(optimized)
-            else:
-                groups = [FusedGroup(anchor=op) for op in optimized.nodes]
+            _, groups = self._partition(graph)
             problems: list[TuningProblem] = []
             seen: set[str] = set()
             for group in groups:
@@ -321,6 +316,15 @@ class HidetExecutor:
         return self.clock.elapsed_seconds - start
 
     # ------------------------------------------------------------------
+
+    def _partition(self, graph: FlowGraph) -> tuple[FlowGraph, list[FusedGroup]]:
+        """The graph passes: one rewrite walk that folds constants and
+        lowers each dense conv to implicit GEMM, then the fusion partition
+        (one group per operator without fusion)."""
+        optimized = fold_constants(graph, lower_convs=True)
+        if self.enable_fusion:
+            return optimized, partition_graph(optimized)
+        return optimized, [FusedGroup(anchor=op) for op in optimized.nodes]
 
     def _compile_group(self, group: FusedGroup) -> CompiledOp:
         spec = build_group_spec(group)

@@ -48,3 +48,35 @@ def test_hooks_install_record_and_restore(layers):
     assert labels == ['sched.stats', 'gpusim.perfmodel']
     # every label the hooks report is one the metric table knows
     assert set(labels) <= set(layers.LABELS)
+
+
+def test_graph_rewrite_walk_runs_under_a_graph_passes_span(layers, monkeypatch):
+    """A compile builds its one rewritten graph inside a ``graph.passes``
+    span: the walk runs under a pass name the hooks wrap."""
+    import numpy as np
+    from repro.graph import flow_graph, from_numpy, ops, symbol, trace
+    from repro.runtime import HidetExecutor, ScheduleCache
+
+    x = symbol([1, 4, 6, 6], name='x')
+    w = from_numpy(np.ones((8, 4, 3, 3), dtype=np.float32))
+    scale = from_numpy(np.ones((8, 1, 1), dtype=np.float32))
+    shift = from_numpy(np.zeros((8, 1, 1), dtype=np.float32))
+    graph = trace(ops.relu(ops.batch_norm(ops.conv2d(x, w, padding=1),
+                                          scale, shift)))
+    recorder = layers.SpanRecorder()
+    built = []      # the spans open while each FlowGraph was built
+    init = flow_graph.FlowGraph.__init__
+
+    def recording_init(self, *args, **kwargs):
+        built.append(list(recorder._stack))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(flow_graph.FlowGraph, '__init__', recording_init)
+    patches = layers.Patches(recorder)
+    try:
+        layers.install(patches)
+        HidetExecutor(cache=ScheduleCache()).compile(graph)
+    finally:
+        patches.restore()
+    assert len(built) == 1
+    assert 'graph.passes' in [recorder.spans[i][0] for i in built[0]]
