@@ -125,8 +125,8 @@ def run_cache_reuse(models=None, cache_dir: Optional[str] = None) -> list[CacheR
                 warm_seconds=warm.tuning_seconds,
                 cold_latency_ms=cold.latency_ms,
                 warm_latency_ms=warm.latency_ms,
-                warm_hits=warm.cache_hits,
-                warm_misses=warm.cache_misses,
+                warm_hits=warm.compile_report.cache_hits,
+                warm_misses=warm.compile_report.cache_misses,
                 cache_entries=len(warmed),
             ))
     finally:

@@ -15,10 +15,10 @@ a subsystem:
 * :class:`ScheduleCache` — an in-memory signature → schedule store with
   hit/miss accounting, shared by default across every
   :class:`~repro.runtime.executor.HidetExecutor` in the process.
-* a versioned JSON on-disk format (:meth:`ScheduleCache.save` /
-  :meth:`ScheduleCache.load`) so a warmed cache survives process restarts:
-  ``optimize()`` of the same model in a new process pays zero simulated
-  tuning time.
+* a versioned, append-only record log on disk (:meth:`ScheduleCache.save`
+  / :meth:`ScheduleCache.load`) so a warmed cache survives process
+  restarts: ``optimize()`` of the same model in a new process pays zero
+  simulated tuning time.
 
 This is the same lever AutoTVM/Ansor pull with their tuning-log files,
 except Hidet's records are tiny (one schedule per task class, not thousands
@@ -33,14 +33,12 @@ Serving-fleet extensions (PR 2):
   registry can report and export per-model slices of a shared cache without
   giving up cross-model schedule sharing (the signature stays global).
 * **Append-only record log** — :meth:`ScheduleCache.save` appends records
-  to a line-oriented log (PR 8; it previously rewrote a merged JSON file,
-  which let two concurrent savers drop each other's entries).  Replay is
-  last-record-wins, so in-memory records still win conflicts, and
-  concurrent savers *append* instead of racing a read-modify-write.
-  :func:`compact_log` rewrites a log into its canonical minimal form;
-  legacy monolithic-JSON caches are detected and migrated on the next
-  save or warm (``CACHE_FORMAT_VERSION`` is unchanged — the signatures
-  are the same, only the container changed).
+  to a line-oriented log: a header line, then one ``put`` or ``measure``
+  record per line.  Replay is last-record-wins, so in-memory records win
+  conflicts, and concurrent savers *append* instead of racing a
+  read-modify-write.  :func:`compact_log` rewrites a log into its
+  canonical minimal form.  The log is the only on-disk format: a file
+  that does not start with a log header is rejected.
 * **Size-family transfer tier** — the hardware-centric space is input-size
   independent (§4.3), so alongside the exact signature every matmul record
   is indexed by a *family* key that drops the batch-scaled sizes.  An exact
@@ -372,8 +370,8 @@ class ScheduleCache:
     """Signature → schedule store with hit/miss accounting.
 
     In-memory by default; :meth:`save`/:meth:`load` round-trip the records
-    through a versioned JSON file so tuning cost is paid once per task class
-    per device, ever.  ``max_entries`` bounds the store with
+    through an append-only record log so tuning cost is paid once per task
+    class per device, ever.  ``max_entries`` bounds the store with
     least-recently-hit eviction (insertion counts as a use, every hit
     refreshes recency); the family index enables cross-size transfer hits
     (see :func:`task_family_signature`).
@@ -562,63 +560,26 @@ class ScheduleCache:
 
     # -- persistence -------------------------------------------------------
 
-    def to_json(self, namespace: Optional[str] = None) -> dict:
-        """Serializable form; ``namespace`` restricts to one model's slice.
-
-        Measurement records ride along un-sliced: they are global training
-        data for cost models, not per-model state.
-        """
-        entries = {sig: entry for sig, entry in self._entries.items()
-                   if namespace is None or entry.namespace == namespace}
-        data = {
-            'version': CACHE_FORMAT_VERSION,
-            'entries': {sig: entry.to_json()
-                        for sig, entry in sorted(entries.items())},
-        }
-        if self._measurements:
-            data['measurements'] = [
-                rec.to_json() for rec in sorted(
-                    self._measurements.values(),
-                    key=lambda r: _canonical_line(r.to_json()))]
-        return data
-
     def save(self, path: str, namespace: Optional[str] = None) -> None:
         """Persist this cache into the append-only record log at ``path``.
 
         Only records whose *effective* on-disk value differs are appended
         (replay is last-record-wins, so an appended record overrides older
         ones and in-memory state wins conflicts).  Because savers append
-        instead of rewriting the file, concurrent savers union their work —
-        the read-modify-write race of the old merge-on-save JSON format
-        (open since PR 1) cannot drop entries here: appends with ``O_APPEND``
-        semantics land whole lines even when interleaved.
+        instead of rewriting the file, concurrent savers union their work:
+        appends with ``O_APPEND`` semantics land whole lines even when
+        interleaved.
 
-        A legacy monolithic-JSON cache file at ``path`` is migrated into log
-        form first (its records replay before this cache's, preserving the
-        memory-wins merge order).  An unreadable or version-mismatched file
-        is overwritten.  Logs grow until :func:`compact_log` rewrites them
-        canonically.
+        A file at ``path`` that is not a readable record log of this
+        build's versions is overwritten with a fresh one.  Logs grow until
+        :func:`compact_log` rewrites them canonically.
         """
         entries = {sig: entry for sig, entry in self._entries.items()
                    if namespace is None or entry.namespace == namespace}
-        state = None
-        if os.path.exists(path):
-            try:
-                state = _read_state(path)
-            except (OSError, ValueError):
-                state = None             # unreadable or not ours: overwrite
-        if state is None:
+        try:
+            disk_entries, disk_measurements = _read_state(path)
+        except (OSError, ValueError):      # missing or not ours: overwrite
             _write_log(path, entries, self._measurements)
-            return
-        disk_entries, disk_measurements, is_log = state
-        if not is_log:
-            # legacy JSON → log migration: disk records first, ours after,
-            # so last-record-wins replay preserves "memory wins conflicts"
-            merged_entries = dict(disk_entries)
-            merged_entries.update(entries)
-            merged_measurements = dict(disk_measurements)
-            merged_measurements.update(self._measurements)
-            _write_log(path, merged_entries, merged_measurements)
             return
         lines = []
         for sig, entry in entries.items():
@@ -633,56 +594,57 @@ class ScheduleCache:
             with open(path, 'a', encoding='utf-8') as f:
                 f.write(''.join(line + '\n' for line in lines))
 
-    def merge_json(self, data: dict) -> int:
-        """Merge records from a parsed (legacy-shaped) cache dict.
+    def _merge(self, entries: dict[str, CacheEntry],
+               measurements: Iterable[MeasurementRecord]) -> int:
+        """Put ``entries`` and record ``measurements``, in iteration order.
 
-        Returns the number of new entries actually *retained* — with a
+        Returns the number of new entries actually *retained*: with a
         ``max_entries`` cap, merged records can immediately evict each
         other, so the count is taken after the merge, not per record.
-        Measurement records under ``'measurements'`` merge too (newer wins)
-        but do not count toward the return value.
         """
-        version = data.get('version')
-        if version != CACHE_FORMAT_VERSION:
-            raise ValueError(
-                f'schedule cache version mismatch: file has {version!r}, '
-                f'this build reads {CACHE_FORMAT_VERSION}')
-        file_entries = data.get('entries', {})
-        pre_existing = {sig for sig in file_entries if sig in self._entries}
-        for sig, raw in file_entries.items():
-            entry = CacheEntry.from_json(raw)
+        pre_existing = {sig for sig in entries if sig in self._entries}
+        for sig, entry in entries.items():
             self.put(sig, entry.kind, entry.schedule,
                      namespace=entry.namespace, family=entry.family,
                      device_family=entry.device_family)
-        for raw in data.get('measurements', ()):
-            self.record_measurement(MeasurementRecord.from_json(raw))
-        return sum(1 for sig in file_entries
+        for rec in measurements:
+            self.record_measurement(rec)
+        return sum(1 for sig in entries
                    if sig in self._entries and sig not in pre_existing)
 
+    def merge(self, other: 'ScheduleCache') -> int:
+        """Merge every record of ``other`` into this cache; returns the new
+        entries retained.
+
+        Entries are put in signature order and measurements in canonical
+        record order (the order of a compacted log), so merging the same
+        caches always leaves the same family indexes and recency order,
+        whatever order ``other`` met its records in.  ``other``'s records
+        win conflicts.
+        """
+        return self._merge(
+            {sig: other._entries[sig] for sig in sorted(other._entries)},
+            sorted(other._measurements.values(), key=_record_line))
+
     def warm(self, path: str, missing_ok: bool = False) -> int:
-        """Merge a saved cache file into this cache; returns entries added.
+        """Merge a saved record log into this cache; returns entries added.
 
         The warming API of the serving registry: point it at a persisted
         cache and every previously tuned bucket compiles with zero simulated
-        tuning seconds.  Reads both the record-log format and legacy
-        monolithic-JSON caches.
+        tuning seconds.  Records merge in the log's replay order.
 
         Safe against concurrent savers: savers append whole lines, and a
         torn *trailing* line (a reader racing an in-flight append) is
         ignored — the reader sees every record completed before its read.
         With ``missing_ok`` the not-yet-created file (a fleet scaling up
         before its first save) reads as an empty cache instead of raising
-        ``FileNotFoundError``.
+        ``FileNotFoundError``.  A file that is not a record log raises
+        ``ValueError``.
         """
         if missing_ok and not os.path.exists(path):
             return 0
-        entries, measurements, _ = _read_state(path)
-        data: dict = {'version': CACHE_FORMAT_VERSION,
-                      'entries': {sig: e.to_json()
-                                  for sig, e in entries.items()},
-                      'measurements': [r.to_json()
-                                       for r in measurements.values()]}
-        return self.merge_json(data)
+        entries, measurements = _read_state(path)
+        return self._merge(entries, measurements.values())
 
     @classmethod
     def load(cls, path: str) -> 'ScheduleCache':
@@ -699,13 +661,18 @@ class ScheduleCache:
 # and record versions; every other line is a record: ``{"op": "put", "sig":
 # ..., "entry": {...}}`` or ``{"op": "measure", "record": {...}}``.  Replay
 # is last-record-wins, so appending a record overrides earlier ones and the
-# file never needs a read-modify-write cycle to update — which is exactly
-# what removes the concurrent-saver race of the old monolithic-JSON format.
+# file never needs a read-modify-write cycle to update: concurrent savers
+# cannot drop each other's records.
 
 
 def _canonical_line(obj: dict) -> str:
     """One record as its canonical byte form (sorted keys, no whitespace)."""
     return json.dumps(obj, sort_keys=True, separators=(',', ':'))
+
+
+def _record_line(rec: MeasurementRecord) -> str:
+    """Sort key of the canonical measurement order."""
+    return _canonical_line(rec.to_json())
 
 
 def _log_lines(entries: dict[str, CacheEntry],
@@ -718,8 +685,7 @@ def _log_lines(entries: dict[str, CacheEntry],
     for sig in sorted(entries):
         lines.append(_canonical_line(
             {'op': 'put', 'sig': sig, 'entry': entries[sig].to_json()}))
-    for rec in sorted(measurements.values(),
-                      key=lambda r: _canonical_line(r.to_json())):
+    for rec in sorted(measurements.values(), key=_record_line):
         lines.append(_canonical_line({'op': 'measure', 'record': rec.to_json()}))
     return lines
 
@@ -783,39 +749,24 @@ def _replay_log(text: str) -> tuple[dict[str, CacheEntry],
 
 
 def _read_state(path: str) -> tuple[dict[str, CacheEntry],
-                                    dict[tuple, MeasurementRecord], bool]:
-    """Parse either on-disk format into (entries, measurements, is_log).
+                                    dict[tuple, MeasurementRecord]]:
+    """Replay the record log at ``path`` into (entries, measurements).
 
-    Sniffs the first line: a one-line JSON dict with a ``'log'`` key is a
-    record log; anything else is treated as a legacy monolithic-JSON cache.
-    Raises ``ValueError`` for corrupt content or a version mismatch in
-    either format.
+    The first non-blank line must be a log header; anything else (such as
+    the monolithic-JSON cache files written before the record log) raises
+    ``ValueError``, as do corrupt records and version mismatches.
     """
     with open(path, 'r', encoding='utf-8') as f:
         text = f.read()
-    first = text.lstrip().split('\n', 1)[0].strip()
-    header = None
-    if first:
-        try:
-            header = json.loads(first)
-        except ValueError:
-            header = None
-    if isinstance(header, dict) and 'log' in header:
-        entries, measurements = _replay_log(text)
-        return entries, measurements, True
-    data = json.loads(text)              # ValueError on corruption
-    version = data.get('version') if isinstance(data, dict) else None
-    if version != CACHE_FORMAT_VERSION:
-        raise ValueError(
-            f'schedule cache version mismatch: file has {version!r}, '
-            f'this build reads {CACHE_FORMAT_VERSION}')
-    entries = {sig: CacheEntry.from_json(raw)
-               for sig, raw in data.get('entries', {}).items()}
-    measurements = {}
-    for raw in data.get('measurements', ()):
-        rec = MeasurementRecord.from_json(raw)
-        measurements[rec.key] = rec
-    return entries, measurements, False
+    first = text.lstrip().split('\n', 1)[0]
+    try:
+        header = json.loads(first)
+    except ValueError:
+        header = None
+    if not (isinstance(header, dict) and 'log' in header):
+        raise ValueError(f'{path} is not a schedule-cache record log '
+                         f'(its first line is not a log header)')
+    return _replay_log(text)
 
 
 def compact_log(path: str) -> int:
@@ -825,10 +776,9 @@ def compact_log(path: str) -> int:
     rewrites header + sorted records through an atomic rename.  Two logs
     reaching the same effective state compact to byte-identical files — the
     property the parallel tuning service's cache-equivalence check rests
-    on.  Also migrates a legacy monolithic-JSON cache into log form.
-    Returns the number of live records kept.
+    on.  Returns the number of live records kept.
     """
-    entries, measurements, _ = _read_state(path)
+    entries, measurements = _read_state(path)
     _write_log(path, entries, measurements)
     return len(entries) + len(measurements)
 

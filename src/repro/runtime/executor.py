@@ -27,7 +27,6 @@
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -111,7 +110,7 @@ class HidetExecutor:
                  enable_device_transfer: bool = False,
                  cost_model=None,
                  record_measurements: Optional[bool] = None,
-                 check_ir: Optional[bool] = None,
+                 check_ir: bool = True,
                  candidate_analyzer=None):
         self.device = device
         self.clock = clock if clock is not None else SimulatedClock()
@@ -178,11 +177,8 @@ class HidetExecutor:
         #: static-analysis compile gate (repro.analysis): every IR module
         #: built through build_ir is verified (well-formedness) and analyzed
         #: (bounds / coverage / races) before it is cached; errors raise
-        #: AnalysisError.  Defaults to on; REPRO_SKIP_IR_CHECKS=1 (or
-        #: check_ir=False) is the escape hatch for speed-sensitive runs.
-        if check_ir is None:
-            check_ir = os.environ.get('REPRO_SKIP_IR_CHECKS', '') not in (
-                '1', 'true', 'yes')
+        #: AnalysisError.  Defaults to on; check_ir=False is the escape
+        #: hatch for speed-sensitive runs.
         self.check_ir = bool(check_ir)
         #: optional pre-measurement candidate filter (duck-typed:
         #: ``reject(m, n, k, sched, batch) -> Optional[str]``, see

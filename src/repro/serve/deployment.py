@@ -33,9 +33,11 @@ and validates a spec file without compiling anything.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
+import typing
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from ..gpusim.device import A100, LAPTOP_GPU, RTX3090, DeviceSpec
 from ..obs import Telemetry
@@ -182,28 +184,74 @@ def _element(cls, item, field_path: str):
     return _node(cls, item, field_path)
 
 
-_NUM = (int, float)
-_OPT_NUM = (int, float, type(None))
+def _accepted(hint) -> tuple:
+    """The runtime types a field annotated ``hint`` accepts: ``float``
+    also admits ``int`` and ``Optional[...]`` also admits ``None``."""
+    if typing.get_origin(hint) is Union:
+        return tuple(t for arg in typing.get_args(hint)
+                     for t in _accepted(arg))
+    if hint is float:
+        return (int, float)
+    return (typing.get_origin(hint) or hint,)
 
-#: scalar field types validate() enforces per node — JSON carries no
-#: schema, so a string where a number belongs must become a field-named
-#: SpecValidationError, not a TypeError from some later comparison
-_NODE_FIELD_TYPES: dict = {}
+
+@functools.cache
+def _field_rules(cls) -> tuple:
+    """Per dataclass field of ``cls``: ``(name, accepted types, element
+    types or None, lower bound or None)``, derived once from the field's
+    annotation (``tuple[X, ...]`` elements must be ``X``) and its
+    ``metadata['min']``."""
+    hints = typing.get_type_hints(cls)
+    rules = []
+    for fld in dataclasses.fields(cls):
+        hint = hints[fld.name]
+        tuples = [h for h in (hint, *typing.get_args(hint))
+                  if typing.get_origin(h) is tuple]
+        element = _accepted(typing.get_args(tuples[0])[0]) if tuples else None
+        rules.append((fld.name, _accepted(hint), element,
+                      fld.metadata.get('min')))
+    return tuple(rules)
 
 
-def _check_field_types(node, path: str) -> None:
-    for fname, types in _NODE_FIELD_TYPES.get(type(node), {}).items():
-        value = getattr(node, fname)
-        allowed = types if isinstance(types, tuple) else (types,)
-        # bool subclasses int, so "count": true would silently become one
-        # replica — a bool only passes where bool is explicitly allowed
-        ok = (isinstance(value, allowed)
-              and not (isinstance(value, bool) and bool not in allowed))
-        if not ok:
-            wanted = '/'.join(t.__name__ for t in allowed)
+def _check_type(value, accepted: tuple, path: str) -> None:
+    # bool subclasses int, so "count": true would silently become one
+    # replica: a bool only passes where bool itself is accepted
+    if isinstance(value, accepted) and not (isinstance(value, bool)
+                                            and bool not in accepted):
+        return
+    nodes = [t for t in accepted if dataclasses.is_dataclass(t)]
+    if nodes:
+        name = nodes[0].__name__
+        article = 'an' if name[0] in 'AEIOU' else 'a'
+        raise SpecValidationError(path, f'must be {article} {name}, got '
+                                        f'{value!r}')
+    wanted = '/'.join(t.__name__ for t in accepted)
+    raise SpecValidationError(path, f'must be of type {wanted}, got {value!r}')
+
+
+def _walk(node, path: str = '') -> None:
+    """Check every field of the dataclass ``node`` against its annotation
+    and lower bound, then descend into the dataclasses it holds.
+
+    JSON carries no schema, so a string where a number belongs must become
+    a field-named :class:`SpecValidationError` here, not a ``TypeError``
+    from some later comparison.
+    """
+    for name, accepted, element, lower in _field_rules(type(node)):
+        value = getattr(node, name)
+        fpath = f'{path}.{name}' if path else name
+        _check_type(value, accepted, fpath)
+        if lower is not None and value is not None and value < lower:
+            when = ' when given' if type(None) in accepted else ''
             raise SpecValidationError(
-                f'{path}.{fname}',
-                f'must be of type {wanted}, got {value!r}')
+                fpath, f'must be >= {lower}{when}, got {value}')
+        items = ([(fpath, value)] if element is None else
+                 [(f'{fpath}[{i}]', v) for i, v in enumerate(value or ())])
+        for ipath, item in items:
+            if element is not None:
+                _check_type(item, element, ipath)
+            if dataclasses.is_dataclass(item):
+                _walk(item, ipath)
 
 
 # ---------------------------------------------------------------------------
@@ -228,12 +276,13 @@ class DecodeSpec:
     amortize over.
     """
 
-    kv_bytes_per_token: int
-    max_tokens: int = 256
-    max_width: int = 8
+    kv_bytes_per_token: int = field(metadata={'min': 1})
+    max_tokens: int = field(default=256, metadata={'min': 1})
+    max_width: int = field(default=8, metadata={'min': 1})
     admission: str = 'reserve'
-    kv_capacity_bytes: Optional[int] = None
-    seq_length: int = 128
+    kv_capacity_bytes: Optional[int] = field(default=None,
+                                             metadata={'min': 1})
+    seq_length: int = field(default=128, metadata={'min': 1})
 
 
 @dataclass(frozen=True)
@@ -254,10 +303,10 @@ class ModelSpec:
     """
 
     name: str
-    max_batch: int = 8
+    max_batch: int = field(default=8, metadata={'min': 1})
     buckets: Optional[tuple[int, ...]] = None
     config: dict = field(default_factory=dict)
-    memory_bytes: Optional[int] = None
+    memory_bytes: Optional[int] = field(default=None, metadata={'min': 1})
     decode: Optional[DecodeSpec] = None
 
     def __post_init__(self):
@@ -294,8 +343,8 @@ class ReplicaGroupSpec:
     """
 
     device: str = 'RTX3090'
-    count: int = 1
-    memory_bytes: Optional[int] = None
+    count: int = field(default=1, metadata={'min': 1})
+    memory_bytes: Optional[int] = field(default=None, metadata={'min': 1})
 
 
 @dataclass(frozen=True)
@@ -425,35 +474,11 @@ class CacheSpec:
 
     warm_from: Optional[str] = None
     save_to: Optional[str] = None
-    max_entries: Optional[int] = None
+    max_entries: Optional[int] = field(default=None, metadata={'min': 1})
     enable_transfer: bool = True
     enable_device_transfer: Optional[bool] = None
     cost_model: bool = False
-    tuning_workers: int = 1
-
-
-_NODE_FIELD_TYPES.update({
-    ModelSpec: {'name': str, 'max_batch': int, 'config': dict,
-                'memory_bytes': (int, type(None))},
-    DecodeSpec: {'kv_bytes_per_token': int, 'max_tokens': int,
-                 'max_width': int, 'admission': str,
-                 'kv_capacity_bytes': (int, type(None)), 'seq_length': int},
-    ReplicaGroupSpec: {'device': str, 'count': int,
-                       'memory_bytes': (int, type(None))},
-    BatchingSpec: {'max_batch': int, 'max_wait': _NUM,
-                   'max_queue': (int, type(None))},
-    PlacementSpec: {'policy': str, 'options': dict},
-    AutoscaleSpec: {'policy': str, 'options': dict, 'min_replicas': int,
-                    'max_replicas': int, 'interval': _NUM, 'cooldown': _NUM,
-                    'scale_increment': int, 'provision_delay': _NUM,
-                    'device': str},
-    FailureSpec: {'num_failures': int, 'num_replicas': (int, type(None)),
-                  'span': _OPT_NUM, 'seed': int, 'mttr': _OPT_NUM},
-    CacheSpec: {'warm_from': (str, type(None)), 'save_to': (str, type(None)),
-                'max_entries': (int, type(None)), 'enable_transfer': bool,
-                'enable_device_transfer': (bool, type(None)),
-                'cost_model': bool, 'tuning_workers': int},
-})
+    tuning_workers: int = field(default=1, metadata={'min': 1})
 
 
 @dataclass(frozen=True)
@@ -497,22 +522,18 @@ class DeploymentSpec:
     def validate(self) -> 'DeploymentSpec':
         """Reject inconsistent specs; every error names the offending field.
 
-        Checks cover the cross-node constraints the constructors down the
-        stack would only hit mid-build (or never): unknown policy/device
-        names, the batching ``max_batch`` vs every model's bucket ladder,
-        autoscaler bounds vs the replica groups, and one-mode failure
-        schedules.  Returns ``self`` so call sites can chain.
+        First every field of the tree is checked against its annotation and
+        its ``metadata['min']`` bound.  Then come the rules that span fields
+        or look up a registry, which the constructors down the stack would
+        only hit mid-build (or never): unknown policy/device names, the
+        batching ``max_batch`` vs every model's bucket ladder, the memory
+        budget, autoscaler bounds vs the replica groups, and one-mode
+        failure schedules.  Returns ``self`` so call sites can chain.
         """
+        _walk(self)
         if not self.models:
             raise SpecValidationError('models', 'at least one ModelSpec is '
                                                 'required')
-        # the batching node is vetted before the per-model loop: the loop
-        # compares batching.max_batch against every ladder, and a malformed
-        # node must fail with a field-named error, not a raw TypeError
-        if not isinstance(self.batching, BatchingSpec):
-            raise SpecValidationError(
-                'batching', f'must be a BatchingSpec, got {self.batching!r}')
-        _check_field_types(self.batching, 'batching')
         try:
             self.batching.build()
         except ValueError as exc:
@@ -521,20 +542,13 @@ class DeploymentSpec:
         seen: set[str] = set()
         for i, model in enumerate(self.models):
             path = f'models[{i}]'
-            if not isinstance(model, ModelSpec):
-                raise SpecValidationError(path, f'must be a ModelSpec, got '
-                                                f'{model!r}')
-            _check_field_types(model, path)
-            if not model.name or not isinstance(model.name, str):
+            if not model.name:
                 raise SpecValidationError(f'{path}.name',
                                           'must be a non-empty string')
             if model.name in seen:
                 raise SpecValidationError(f'{path}.name',
                                           f'duplicate model {model.name!r}')
             seen.add(model.name)
-            if model.max_batch < 1:
-                raise SpecValidationError(f'{path}.max_batch',
-                                          f'must be >= 1, got {model.max_batch}')
             if model.buckets is not None:
                 if not model.buckets:
                     raise SpecValidationError(f'{path}.buckets',
@@ -543,10 +557,6 @@ class DeploymentSpec:
                 if bad:
                     raise SpecValidationError(f'{path}.buckets',
                                               f'buckets must be >= 1, got {bad}')
-            if model.memory_bytes is not None and model.memory_bytes < 1:
-                raise SpecValidationError(
-                    f'{path}.memory_bytes',
-                    f'must be >= 1 when given, got {model.memory_bytes}')
             if model.decode is not None:
                 self._validate_decode(model.decode, f'{path}.decode')
             if self.batching.max_batch > max(model.ladder()):
@@ -561,26 +571,9 @@ class DeploymentSpec:
             raise SpecValidationError('replicas', 'at least one '
                                                   'ReplicaGroupSpec is required')
         for i, group in enumerate(self.replicas):
-            if not isinstance(group, ReplicaGroupSpec):
-                raise SpecValidationError(
-                    f'replicas[{i}]', f'must be a ReplicaGroupSpec, got '
-                                      f'{group!r}')
-            _check_field_types(group, f'replicas[{i}]')
-            if group.count < 1:
-                raise SpecValidationError(f'replicas[{i}].count',
-                                          f'must be >= 1, got {group.count}')
             _require_device(group.device, f'replicas[{i}].device')
-            if group.memory_bytes is not None and group.memory_bytes < 1:
-                raise SpecValidationError(
-                    f'replicas[{i}].memory_bytes',
-                    f'must be >= 1 when given, got {group.memory_bytes}')
         self._validate_memory_budget()
 
-        if not isinstance(self.placement, PlacementSpec):
-            raise SpecValidationError(
-                'placement',
-                f'must be a PlacementSpec, got {self.placement!r}')
-        _check_field_types(self.placement, 'placement')
         if self.placement.policy not in available_placements():
             raise SpecValidationError(
                 'placement.policy',
@@ -597,18 +590,6 @@ class DeploymentSpec:
         if self.failures is not None:
             self._validate_failures()
 
-        if not isinstance(self.cache, CacheSpec):
-            raise SpecValidationError(
-                'cache', f'must be a CacheSpec, got {self.cache!r}')
-        _check_field_types(self.cache, 'cache')
-        if self.cache.max_entries is not None and self.cache.max_entries < 1:
-            raise SpecValidationError(
-                'cache.max_entries',
-                f'must be >= 1 when given, got {self.cache.max_entries}')
-        if self.cache.tuning_workers < 1:
-            raise SpecValidationError(
-                'cache.tuning_workers',
-                f'must be >= 1, got {self.cache.tuning_workers}')
         if self.cache.tuning_workers > 1 and self.cache.warm_from is None:
             raise SpecValidationError(
                 'cache.tuning_workers',
@@ -617,36 +598,22 @@ class DeploymentSpec:
         return self
 
     def _validate_decode(self, decode: DecodeSpec, path: str) -> None:
-        """Vet one model's decode node; every error names its dotted path."""
-        if not isinstance(decode, DecodeSpec):
-            raise SpecValidationError(path, f'must be a DecodeSpec, got '
-                                            f'{decode!r}')
-        _check_field_types(decode, path)
-        for fname in ('kv_bytes_per_token', 'max_tokens', 'max_width',
-                      'seq_length'):
-            value = getattr(decode, fname)
-            if value < 1:
-                raise SpecValidationError(f'{path}.{fname}',
-                                          f'must be >= 1, got {value}')
+        """The decode rules that look up a registry or span fields."""
         from .batcher import ADMISSION_POLICIES
         if decode.admission not in ADMISSION_POLICIES:
             raise SpecValidationError(
                 f'{path}.admission',
                 f'unknown admission policy {decode.admission!r} '
                 f'(one of {list(ADMISSION_POLICIES)})')
-        if decode.kv_capacity_bytes is not None:
-            if decode.kv_capacity_bytes < 1:
-                raise SpecValidationError(
-                    f'{path}.kv_capacity_bytes',
-                    f'must be >= 1 when given, got {decode.kv_capacity_bytes}')
-            needed = decode.kv_bytes_per_token * decode.max_tokens
-            if decode.kv_capacity_bytes < needed:
-                raise SpecValidationError(
-                    f'{path}.kv_capacity_bytes',
-                    f'{decode.kv_capacity_bytes} bytes cannot hold even one '
-                    f'max-length generation ({decode.max_tokens} tokens x '
-                    f'{decode.kv_bytes_per_token} bytes/token = {needed} '
-                    f'bytes) — every decode request would be rejected')
+        needed = decode.kv_bytes_per_token * decode.max_tokens
+        if (decode.kv_capacity_bytes is not None
+                and decode.kv_capacity_bytes < needed):
+            raise SpecValidationError(
+                f'{path}.kv_capacity_bytes',
+                f'{decode.kv_capacity_bytes} bytes cannot hold even one '
+                f'max-length generation ({decode.max_tokens} tokens x '
+                f'{decode.kv_bytes_per_token} bytes/token = {needed} '
+                f'bytes) — every decode request would be rejected')
 
     def _validate_memory_budget(self) -> None:
         """Reject declared model budgets no replica group can serve.
@@ -685,10 +652,6 @@ class DeploymentSpec:
 
     def _validate_autoscale(self) -> None:
         scale = self.autoscale
-        if not isinstance(scale, AutoscaleSpec):
-            raise SpecValidationError(
-                'autoscale', f'must be an AutoscaleSpec, got {scale!r}')
-        _check_field_types(scale, 'autoscale')
         if scale.policy not in available_autoscale_policies():
             raise SpecValidationError(
                 'autoscale.policy',
@@ -719,11 +682,8 @@ class DeploymentSpec:
                 f'own ceiling')
 
     def _validate_failures(self) -> None:
+        """One mode only; the seeded-mode bounds hold only in that mode."""
         failures = self.failures
-        if not isinstance(failures, FailureSpec):
-            raise SpecValidationError(
-                'failures', f'must be a FailureSpec, got {failures!r}')
-        _check_field_types(failures, 'failures')
         seeded_used = (failures.num_failures != 0
                        or failures.num_replicas is not None
                        or failures.span is not None
@@ -995,7 +955,7 @@ class Deployment:
         fleet.build()
         if cache.save_to is not None:
             for replica in fleet.replicas:
-                replica.registry.cache.save(cache.save_to)   # merge-on-save
+                replica.registry.cache.save(cache.save_to)   # appends records
         autoscaler = (spec.autoscale.build()
                       if spec.autoscale is not None else None)
         failures = spec.failures.build() if spec.failures is not None else None

@@ -114,13 +114,12 @@ class ModelRegistry:
         cache: an explicit :class:`ScheduleCache` to share (e.g. across
             fleet replicas, or one pre-warmed from a foreign device);
             mutually exclusive with ``max_cache_entries``.
-        cache_path: a persisted schedule-cache file: warmed from disk at
-            construction (if present) and re-saved (merge-on-save) after
-            every registration, so registries taking turns with the file
-            converge to one tuned cache (simultaneous saves would need file
-            locking, which the JSON store does not do).  A corrupt or
-            version-mismatched file starts the registry cold instead of
-            blocking boot.
+        cache_path: a schedule-cache record log: warmed from disk at
+            construction (if present) and appended to after every
+            registration, so registries sharing the file converge to one
+            tuned cache, even when they save at the same time.  A corrupt,
+            version-mismatched or non-log file starts the registry cold
+            instead of blocking boot, and the next save overwrites it.
         max_cache_entries: optional LRU bound on the registry-owned cache.
         enable_transfer: cross-*size* schedule transfer (§4.3) — later
             buckets of a ladder re-tune by measurement only; on by default.
@@ -342,7 +341,7 @@ class ModelRegistry:
     # -- persistence --------------------------------------------------------
 
     def save_cache(self, path: Optional[str] = None) -> None:
-        """Persist the shared schedule cache (merge-on-save)."""
+        """Append the shared schedule cache to its record log."""
         target = path or self.cache_path
         if target is None:
             raise ValueError('no cache path given and none configured')

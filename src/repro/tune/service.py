@@ -185,13 +185,16 @@ def run_tuning_service(models, device: DeviceSpec = RTX3090,
                                  duplicate_problems=duplicates,
                                  warm_hits=warm_hits,
                                  cache=shared, log_path=log_path)
-    base_state = shared.to_json()
+    # the starting state every worker copies: ``shared`` itself grows as
+    # workers publish below
+    base_state = ScheduleCache()
+    base_state.merge(shared)
     base_entries = len(shared)
     base_measurements = shared.measurement_count
     shards = shard_problems(problems, num_workers)
     for index, shard in enumerate(shards):
         worker_cache = ScheduleCache()
-        worker_cache.merge_json(base_state)
+        worker_cache.merge(base_state)
         clock = SimulatedClock()
         cost_model = cost_model_factory() if cost_model_factory else None
         worker = HidetExecutor(device, clock=clock, cache=worker_cache,
@@ -211,7 +214,7 @@ def run_tuning_service(models, device: DeviceSpec = RTX3090,
         # them into the in-memory shared cache
         if log_path is not None:
             worker_cache.save(log_path)
-        shared.merge_json(worker_cache.to_json())
+        shared.merge(worker_cache)
     if log_path is not None:
         compact_log(log_path)
     return report

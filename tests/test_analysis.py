@@ -335,13 +335,6 @@ class TestExecutorGate:
         compiled = executor.compile(self._graph())
         assert any(op.module is not None for op in compiled.ops)
 
-    def test_env_var_escape_hatch(self, monkeypatch):
-        from repro.runtime import HidetExecutor
-        monkeypatch.setenv('REPRO_SKIP_IR_CHECKS', '1')
-        assert not HidetExecutor().check_ir
-        monkeypatch.delenv('REPRO_SKIP_IR_CHECKS')
-        assert HidetExecutor().check_ir
-
     def test_compile_report_counts_rejections(self, monkeypatch):
         from repro.runtime import HidetExecutor
         space = _small_space()

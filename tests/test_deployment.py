@@ -49,6 +49,12 @@ def tiny_spec(**overrides) -> DeploymentSpec:
     return DeploymentSpec(**base)
 
 
+#: the one-mode failure rejection, shared by three parametrize cases
+BOTH_MODES = ('give either explicit events or a seeded schedule '
+              '(num_failures/num_replicas/span/seed/mttr), not both — the '
+              'seeded fields are ignored when events are explicit')
+
+
 def full_spec() -> DeploymentSpec:
     """A spec populating every node type (autoscale, failures, cache)."""
     return tiny_spec(
@@ -173,110 +179,190 @@ class TestRoundTrip:
         assert base.diff(grown) == {'replicas[0].count': (2, 3)}
 
 
+#: (overrides, rejected field, exact message after the ``field: `` prefix);
+#: ``{devices}``/``{placements}``/``{autoscalers}`` stand for the registry
+#: listings, which other tests extend
+VALIDATION_CASES = [
+    (dict(models=()), 'models', 'at least one ModelSpec is required'),
+    (dict(models=(ModelSpec('bert', max_batch=2, buckets=(1, 2)),
+                  ModelSpec('bert', max_batch=2, buckets=(1, 2)))),
+     'models[1].name', "duplicate model 'bert'"),
+    (dict(models=(ModelSpec('bert', max_batch=0),)),
+     'models[0].max_batch', 'must be >= 1, got 0'),
+    (dict(models=(ModelSpec('bert', max_batch=2, buckets=(0, 2)),)),
+     'models[0].buckets', 'buckets must be >= 1, got [0]'),
+    (dict(models=(ModelSpec('bert', max_batch=2, buckets=(1,)),)),
+     'batching.max_batch',
+     "2 exceeds the largest compiled bucket (1) of model 'bert' — grow "
+     "models[0].buckets or lower batching.max_batch"),
+    (dict(batching=BatchingSpec(max_batch=2, max_queue=1)), 'batching',
+     'max_queue=1 must be at least max_batch=2, or a full batch could '
+     'never accumulate'),
+    (dict(replicas=()), 'replicas',
+     'at least one ReplicaGroupSpec is required'),
+    (dict(replicas=(ReplicaGroupSpec('RTX3090', count=0),)),
+     'replicas[0].count', 'must be >= 1, got 0'),
+    (dict(replicas=(ReplicaGroupSpec('TPUv9'),)), 'replicas[0].device',
+     "unknown device 'TPUv9' (registered: {devices}; register_device() "
+     "adds more)"),
+    (dict(placement=PlacementSpec('warmest_gpu')), 'placement.policy',
+     "unknown placement policy 'warmest_gpu' (registered: {placements}; "
+     "register_placement() adds more)"),
+    (dict(placement=PlacementSpec('model_affine', {'no_such_knob': 1})),
+     'placement.options',
+     "ModelAffinePlacement.__init__() got an unexpected keyword argument "
+     "'no_such_knob'"),
+    (dict(autoscale=AutoscaleSpec(policy='vibes', max_replicas=4)),
+     'autoscale.policy',
+     "unknown autoscale policy 'vibes' (registered: {autoscalers}; "
+     "register_autoscale_policy() adds more)"),
+    (dict(autoscale=AutoscaleSpec(policy='queue_depth', max_replicas=4,
+                                  options={'no_such_knob': 1})),
+     'autoscale.options',
+     "QueueDepthPolicy.__init__() got an unexpected keyword argument "
+     "'no_such_knob'"),
+    (dict(autoscale=AutoscaleSpec(max_replicas=4, cooldown=-1.0)),
+     'autoscale', 'cooldown and provision_delay must be >= 0'),
+    (dict(autoscale=AutoscaleSpec(min_replicas=3, max_replicas=4)),
+     'autoscale.min_replicas',
+     '3 exceeds the 2 replica(s) the replica groups provide — the fleet '
+     'would start below its own floor'),
+    (dict(autoscale=AutoscaleSpec(max_replicas=1)),
+     'autoscale.max_replicas',
+     '1 is below the 2 replica(s) the replica groups provide — the fleet '
+     'would start above its own ceiling'),
+    (dict(autoscale=AutoscaleSpec(max_replicas=4, device='TPUv9')),
+     'autoscale.device',
+     "unknown device 'TPUv9' (registered: {devices}; register_device() "
+     "adds more)"),
+    (dict(failures=FailureSpec(events=(FailureEvent(0.1, 0),),
+                               num_failures=1)), 'failures', BOTH_MODES),
+    (dict(failures=FailureSpec(events=(FailureEvent(0.1, 0),),
+                               mttr=0.25)), 'failures', BOTH_MODES),
+    (dict(failures=FailureSpec(events=(FailureEvent(0.1, 0),),
+                               seed=7)), 'failures', BOTH_MODES),
+    (dict(failures=FailureSpec(num_failures=1, span=0.5)),
+     'failures.num_replicas',
+     'a seeded schedule needs num_replicas >= 1, got None'),
+    (dict(failures=FailureSpec(num_failures=1, num_replicas=2)),
+     'failures.span', 'a seeded schedule needs span > 0, got None'),
+    (dict(failures=FailureSpec(num_failures=1, num_replicas=2, span=0.5,
+                               mttr=0.0)),
+     'failures.mttr', 'must be > 0 when given, got 0.0'),
+    (dict(cache=CacheSpec(max_entries=0)), 'cache.max_entries',
+     'must be >= 1 when given, got 0'),
+    # wrong-typed JSON scalars must name the field, not leak TypeError
+    (dict(models=(ModelSpec('bert', max_batch='8'),)),
+     'models[0].max_batch', "must be of type int, got '8'"),
+    (dict(replicas=(ReplicaGroupSpec('RTX3090', count='2'),)),
+     'replicas[0].count', "must be of type int, got '2'"),
+    (dict(batching=BatchingSpec(max_batch=2, max_wait='soon')),
+     'batching.max_wait', "must be of type int/float, got 'soon'"),
+    # the batching node is vetted before the ladder comparison loop
+    (dict(batching=BatchingSpec(max_batch='8')), 'batching.max_batch',
+     "must be of type int, got '8'"),
+    # bool subclasses int and must not pass where an int is required
+    (dict(replicas=(ReplicaGroupSpec('RTX3090', count=True),)),
+     'replicas[0].count', 'must be of type int, got True'),
+    (dict(batching=BatchingSpec(max_batch=True)), 'batching.max_batch',
+     'must be of type int, got True'),
+    (dict(autoscale=AutoscaleSpec(max_replicas=4, interval='0.05')),
+     'autoscale.interval', "must be of type int/float, got '0.05'"),
+    (dict(cache=CacheSpec(warm_from=3)), 'cache.warm_from',
+     'must be of type str/NoneType, got 3'),
+    # the decode node: every rejection names its dotted field path
+    (dict(models=(ModelSpec('gpt2', max_batch=2, buckets=(1, 2),
+                            decode=DecodeSpec(kv_bytes_per_token=0)),)),
+     'models[0].decode.kv_bytes_per_token', 'must be >= 1, got 0'),
+    (dict(models=(ModelSpec('gpt2', max_batch=2, buckets=(1, 2),
+                            decode=DecodeSpec(kv_bytes_per_token=64,
+                                              max_tokens=0)),)),
+     'models[0].decode.max_tokens', 'must be >= 1, got 0'),
+    (dict(models=(ModelSpec('gpt2', max_batch=2, buckets=(1, 2),
+                            decode=DecodeSpec(kv_bytes_per_token=64,
+                                              admission='hopeful')),)),
+     'models[0].decode.admission',
+     "unknown admission policy 'hopeful' (one of ['reserve', 'unbounded'])"),
+    (dict(models=(ModelSpec('gpt2', max_batch=2, buckets=(1, 2),
+                            decode=DecodeSpec(
+                                kv_bytes_per_token=64, max_tokens=16,
+                                kv_capacity_bytes=512)),)),
+     'models[0].decode.kv_capacity_bytes',
+     '512 bytes cannot hold even one max-length generation (16 tokens x '
+     '64 bytes/token = 1024 bytes) — every decode request would be '
+     'rejected'),
+    # wrong-typed JSON scalars in the decode node name the field too
+    (dict(models=(ModelSpec('gpt2', max_batch=2, buckets=(1, 2),
+                            decode=DecodeSpec(kv_bytes_per_token='64')),)),
+     'models[0].decode.kv_bytes_per_token', "must be of type int, got '64'"),
+    (dict(models=(ModelSpec('gpt2', max_batch=2, buckets=(1, 2),
+                            decode=DecodeSpec(kv_bytes_per_token=64,
+                                              max_width=True)),)),
+     'models[0].decode.max_width', 'must be of type int, got True'),
+    # every other message shape: empty names and ladders, whole nodes of
+    # the wrong type, optional and bool scalars, the remaining bounds
+    (dict(models=(ModelSpec('', max_batch=2, buckets=(1, 2)),)),
+     'models[0].name', 'must be a non-empty string'),
+    (dict(models=(ModelSpec('bert', max_batch=2, buckets=()),)),
+     'models[0].buckets', 'must be non-empty when given'),
+    (dict(batching='fast'), 'batching', "must be a BatchingSpec, got 'fast'"),
+    (dict(placement=None), 'placement', 'must be a PlacementSpec, got None'),
+    (dict(autoscale='on'), 'autoscale', "must be an AutoscaleSpec, got 'on'"),
+    (dict(cache='none'), 'cache', "must be a CacheSpec, got 'none'"),
+    (dict(placement=PlacementSpec('model_affine', options=[1])),
+     'placement.options', 'must be of type dict, got [1]'),
+    (dict(models=(ModelSpec('bert', max_batch=2, buckets=(1, 2),
+                            config=[1]),)),
+     'models[0].config', 'must be of type dict, got [1]'),
+    (dict(models=(ModelSpec('bert', max_batch=2, buckets=(1, 2),
+                            memory_bytes='1'),)),
+     'models[0].memory_bytes', "must be of type int/NoneType, got '1'"),
+    (dict(failures=FailureSpec(num_failures=1, num_replicas=2, span='0.5')),
+     'failures.span', "must be of type int/float/NoneType, got '0.5'"),
+    (dict(failures=FailureSpec(num_failures=-1, num_replicas=2, span=0.5)),
+     'failures.num_failures', 'must be >= 0, got -1'),
+    # ...and an int must not pass where a bool is required
+    (dict(cache=CacheSpec(enable_transfer=1)), 'cache.enable_transfer',
+     'must be of type bool, got 1'),
+    (dict(cache=CacheSpec(enable_device_transfer=1)),
+     'cache.enable_device_transfer', 'must be of type bool/NoneType, got 1'),
+    (dict(models=(ModelSpec('gpt2', max_batch=2, buckets=(1, 2),
+                            decode=DecodeSpec(kv_bytes_per_token=64,
+                                              seq_length=0)),)),
+     'models[0].decode.seq_length', 'must be >= 1, got 0'),
+    (dict(models=(ModelSpec('gpt2', max_batch=2, buckets=(1, 2),
+                            decode=DecodeSpec(kv_bytes_per_token=64,
+                                              kv_capacity_bytes=0)),)),
+     'models[0].decode.kv_capacity_bytes', 'must be >= 1 when given, got 0'),
+]
+
+
 class TestValidation:
-    @pytest.mark.parametrize('overrides,field', [
-        (dict(models=()), 'models'),
-        (dict(models=(ModelSpec('bert', max_batch=2, buckets=(1, 2)),
-                      ModelSpec('bert', max_batch=2, buckets=(1, 2)))),
-         'models[1].name'),
-        (dict(models=(ModelSpec('bert', max_batch=0),)),
-         'models[0].max_batch'),
-        (dict(models=(ModelSpec('bert', max_batch=2, buckets=(0, 2)),)),
-         'models[0].buckets'),
-        (dict(models=(ModelSpec('bert', max_batch=2, buckets=(1,)),)),
-         'batching.max_batch'),
-        (dict(batching=BatchingSpec(max_batch=2, max_queue=1)), 'batching'),
-        (dict(replicas=()), 'replicas'),
-        (dict(replicas=(ReplicaGroupSpec('RTX3090', count=0),)),
-         'replicas[0].count'),
-        (dict(replicas=(ReplicaGroupSpec('TPUv9'),)), 'replicas[0].device'),
-        (dict(placement=PlacementSpec('warmest_gpu')), 'placement.policy'),
-        (dict(placement=PlacementSpec('model_affine',
-                                      {'no_such_knob': 1})),
-         'placement.options'),
-        (dict(autoscale=AutoscaleSpec(policy='vibes', max_replicas=4)),
-         'autoscale.policy'),
-        (dict(autoscale=AutoscaleSpec(policy='queue_depth', max_replicas=4,
-                                      options={'no_such_knob': 1})),
-         'autoscale.options'),
-        (dict(autoscale=AutoscaleSpec(max_replicas=4, cooldown=-1.0)),
-         'autoscale'),
-        (dict(autoscale=AutoscaleSpec(min_replicas=3, max_replicas=4)),
-         'autoscale.min_replicas'),
-        (dict(autoscale=AutoscaleSpec(max_replicas=1)),
-         'autoscale.max_replicas'),
-        (dict(autoscale=AutoscaleSpec(max_replicas=4, device='TPUv9')),
-         'autoscale.device'),
-        (dict(failures=FailureSpec(events=(FailureEvent(0.1, 0),),
-                                   num_failures=1)), 'failures'),
-        (dict(failures=FailureSpec(events=(FailureEvent(0.1, 0),),
-                                   mttr=0.25)), 'failures'),
-        (dict(failures=FailureSpec(events=(FailureEvent(0.1, 0),),
-                                   seed=7)), 'failures'),
-        (dict(failures=FailureSpec(num_failures=1, span=0.5)),
-         'failures.num_replicas'),
-        (dict(failures=FailureSpec(num_failures=1, num_replicas=2)),
-         'failures.span'),
-        (dict(failures=FailureSpec(num_failures=1, num_replicas=2, span=0.5,
-                                   mttr=0.0)), 'failures.mttr'),
-        (dict(cache=CacheSpec(max_entries=0)), 'cache.max_entries'),
-        # wrong-typed JSON scalars must name the field, not leak TypeError
-        (dict(models=(ModelSpec('bert', max_batch='8'),)),
-         'models[0].max_batch'),
-        (dict(replicas=(ReplicaGroupSpec('RTX3090', count='2'),)),
-         'replicas[0].count'),
-        (dict(batching=BatchingSpec(max_batch=2, max_wait='soon')),
-         'batching.max_wait'),
-        # the batching node is vetted before the ladder comparison loop
-        (dict(batching=BatchingSpec(max_batch='8')), 'batching.max_batch'),
-        # bool subclasses int and must not pass where an int is required
-        (dict(replicas=(ReplicaGroupSpec('RTX3090', count=True),)),
-         'replicas[0].count'),
-        (dict(batching=BatchingSpec(max_batch=True)), 'batching.max_batch'),
-        (dict(autoscale=AutoscaleSpec(max_replicas=4, interval='0.05')),
-         'autoscale.interval'),
-        (dict(cache=CacheSpec(warm_from=3)), 'cache.warm_from'),
-        # the decode node: every rejection names its dotted field path
-        (dict(models=(ModelSpec('gpt2', max_batch=2, buckets=(1, 2),
-                                decode=DecodeSpec(kv_bytes_per_token=0)),)),
-         'models[0].decode.kv_bytes_per_token'),
-        (dict(models=(ModelSpec('gpt2', max_batch=2, buckets=(1, 2),
-                                decode=DecodeSpec(kv_bytes_per_token=64,
-                                                  max_tokens=0)),)),
-         'models[0].decode.max_tokens'),
-        (dict(models=(ModelSpec('gpt2', max_batch=2, buckets=(1, 2),
-                                decode=DecodeSpec(kv_bytes_per_token=64,
-                                                  admission='hopeful')),)),
-         'models[0].decode.admission'),
-        (dict(models=(ModelSpec('gpt2', max_batch=2, buckets=(1, 2),
-                                decode=DecodeSpec(
-                                    kv_bytes_per_token=64, max_tokens=16,
-                                    kv_capacity_bytes=512)),)),
-         'models[0].decode.kv_capacity_bytes'),
-        # wrong-typed JSON scalars in the decode node name the field too
-        (dict(models=(ModelSpec('gpt2', max_batch=2, buckets=(1, 2),
-                                decode=DecodeSpec(
-                                    kv_bytes_per_token='64')),)),
-         'models[0].decode.kv_bytes_per_token'),
-        (dict(models=(ModelSpec('gpt2', max_batch=2, buckets=(1, 2),
-                                decode=DecodeSpec(kv_bytes_per_token=64,
-                                                  max_width=True)),)),
-         'models[0].decode.max_width'),
-    ])
-    def test_each_error_path_names_the_offending_field(self, overrides, field):
+    @pytest.mark.parametrize('overrides,field,message', [
+        pytest.param(*case, id=f'overrides{i}-{case[1]}')
+        for i, case in enumerate(VALIDATION_CASES)])
+    def test_each_error_path_names_the_offending_field(self, overrides, field,
+                                                       message):
+        from repro.serve import (available_autoscale_policies,
+                                 available_devices, available_placements)
         with pytest.raises(SpecValidationError) as excinfo:
             tiny_spec(**overrides).validate()
         assert excinfo.value.field == field
-        assert str(excinfo.value).startswith(field + ':')
+        assert str(excinfo.value) == field + ': ' + message.format(
+            devices=available_devices(), placements=available_placements(),
+            autoscalers=available_autoscale_policies())
 
     def test_non_spec_elements_are_rejected_with_field_paths(self):
         with pytest.raises(SpecValidationError) as excinfo:
             tiny_spec(models=(ModelSpec('bert', max_batch=2, buckets=(1, 2)),
                               None)).validate()
         assert excinfo.value.field == 'models[1]'
+        assert str(excinfo.value) == 'models[1]: must be a ModelSpec, got None'
         with pytest.raises(SpecValidationError) as excinfo:
             tiny_spec(replicas=('RTX3090',)).validate()
         assert excinfo.value.field == 'replicas[0]'
+        assert str(excinfo.value) == (
+            "replicas[0]: must be a ReplicaGroupSpec, got 'RTX3090'")
 
     def test_deployment_validates_at_construction(self):
         with pytest.raises(SpecValidationError, match='placement.policy'):

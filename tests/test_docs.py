@@ -127,3 +127,34 @@ def test_other_docs_snippets_are_marked_non_runnable(capsys):
             continue
         run_page_blocks(page, {})
     capsys.readouterr()
+
+
+def test_deployment_field_reference_covers_every_spec_field():
+    """docs/deployment.md §8 has a row for every dataclass field of every
+    spec node, and each row of a bounded field states its lower bound."""
+    import dataclasses
+
+    from repro.serve import deployment
+    text = (DOCS / 'deployment.md').read_text()
+    reference = text[text.index('## 8. Field reference'):]
+    rows: dict[str, dict[str, str]] = {}
+    for section in re.split(r'^### ', reference, flags=re.MULTILINE)[1:]:
+        node = re.match(r'`(\w+)`', section).group(1)
+        for line in section.splitlines():
+            if line.startswith('| `'):
+                names = line.split('|')[1]
+                for name in re.findall(r'`(\w+)`', names):
+                    rows.setdefault(node, {})[name] = line
+    nodes = [getattr(deployment, name) for name in deployment.__all__
+             if dataclasses.is_dataclass(getattr(deployment, name))]
+    assert len(nodes) >= 9
+    for node in nodes:
+        documented = rows.get(node.__name__, {})
+        for fld in dataclasses.fields(node):
+            assert fld.name in documented, (
+                f'docs/deployment.md §8 has no row for '
+                f'{node.__name__}.{fld.name}')
+            if 'min' in fld.metadata:
+                assert f'>= {fld.metadata["min"]}' in documented[fld.name], (
+                    f'the {node.__name__}.{fld.name} row does not state '
+                    f'its bound >= {fld.metadata["min"]}')

@@ -662,7 +662,7 @@ def test_task_signature_unchanged():
 def _checked_compile(graph, cache) -> tuple:
     compiled = HidetExecutor(cache=cache, build_ir=True,
                              check_ir=True).compile(graph)
-    return (compiled.latency_ms, compiled.cache_misses,
+    return (compiled.latency_ms, compiled.compile_report.cache_misses,
             [(op.name, op.kind, generate_cuda_module(op.module))
              for op in compiled.ops])
 

@@ -390,6 +390,9 @@ def test_spec_rejects_model_bigger_than_any_group():
     with pytest.raises(SpecValidationError) as err:
         over.validate()
     assert err.value.field == 'models[0].memory_bytes'
+    assert str(err.value) == (
+        "models[0].memory_bytes: 17825792 bytes exceeds the largest replica "
+        "capacity (16777216 bytes) — model 'bert' fits no replica group")
 
 
 def test_spec_rejects_overcommitted_fleet_total():
@@ -403,6 +406,10 @@ def test_spec_rejects_overcommitted_fleet_total():
     with pytest.raises(SpecValidationError) as err:
         over.validate()
     assert err.value.field == 'replicas'
+    assert str(err.value) == (
+        'replicas: declared model reservations total 37748736 bytes but the '
+        'replica groups provide 33554432 bytes of DRAM — the assigned '
+        'models cannot fit')
 
 
 def test_spec_rejects_nonpositive_memory_bytes():
@@ -413,11 +420,15 @@ def test_spec_rejects_nonpositive_memory_bytes():
     with pytest.raises(SpecValidationError) as err:
         bad_model.validate()
     assert err.value.field == 'models[0].memory_bytes'
+    assert str(err.value) == ('models[0].memory_bytes: must be >= 1 when '
+                              'given, got 0')
     bad_group = replace(spec, replicas=(replace(spec.replicas[0],
                                                 memory_bytes=0),))
     with pytest.raises(SpecValidationError) as err:
         bad_group.validate()
     assert err.value.field == 'replicas[0].memory_bytes'
+    assert str(err.value) == ('replicas[0].memory_bytes: must be >= 1 when '
+                              'given, got 0')
 
 
 def test_deployment_threads_group_memory_override_to_replicas():

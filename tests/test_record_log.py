@@ -7,23 +7,25 @@ The properties below are what the parallel tuning service leans on:
 - *any* interleaving of N writers' ``save`` / ``compact_log`` / ``load``
   operations round-trips to the same final entry set (the union of what
   the writers held);
-- ``merge_json`` is commutative and idempotent over value-consistent
-  caches (in this system, two tuners that tune the same problem compute
-  the same optimum — determinism is what makes the merge a semilattice);
+- ``ScheduleCache.merge`` is commutative and idempotent over
+  value-consistent caches (in this system, two tuners that tune the same
+  problem compute the same optimum — determinism is what makes the merge a
+  semilattice);
 - compaction is canonical: logs reaching the same effective state compact
   to byte-identical files, and compacting twice is a no-op;
-- a legacy monolithic-JSON cache file migrates into log form on the first
-  ``save``/``compact_log`` without losing records.
+- the log is the only on-disk format: a monolithic-JSON cache file (the
+  format before the log) fails to load with an error naming the problem.
 """
 import json
 import os
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.space import matmul_schedule_space
 from repro.gpusim.device import RTX3090
 from repro.runtime.cache import (CACHE_FORMAT_VERSION, MeasurementRecord,
-                                 ScheduleCache, compact_log)
+                                 ScheduleCache, _log_lines, compact_log)
 
 #: small deterministic pool of real schedules to draw entry values from
 SCHEDULES = list(matmul_schedule_space(RTX3090))[:8]
@@ -96,18 +98,21 @@ def test_interleaved_writers_round_trip_to_the_union(tmp_path_factory,
 @settings(max_examples=30, deadline=None)
 @given(a=writer_strategy, b=writer_strategy)
 def test_merge_is_commutative_and_idempotent(a, b):
+    def canonical(cache):
+        return _log_lines(cache._entries, cache._measurements)
+
     ab = _writer(a)
-    ab.merge_json(_writer(b).to_json())
+    ab.merge(_writer(b))
     ba = _writer(b)
-    ba.merge_json(_writer(a).to_json())
-    assert ab.to_json() == ba.to_json()            # commutative
+    ba.merge(_writer(a))
+    assert canonical(ab) == canonical(ba)                 # commutative
     twice = _writer(a)
-    twice.merge_json(_writer(a).to_json())
-    assert twice.to_json() == _writer(a).to_json()  # idempotent
+    twice.merge(_writer(a))
+    assert canonical(twice) == canonical(_writer(a))      # idempotent
     again = ScheduleCache()
-    again.merge_json(ab.to_json())
-    again.merge_json(ab.to_json())
-    assert again.to_json() == ab.to_json()
+    again.merge(ab)
+    again.merge(ab)
+    assert canonical(again) == canonical(ab)
 
 
 @settings(max_examples=20, deadline=None)
@@ -150,35 +155,30 @@ def test_torn_trailing_line_is_ignored(tmp_path):
     assert 'sig_99' not in warmed
 
 
-def test_legacy_json_cache_migrates_into_log_form(tmp_path):
-    """A monolithic-JSON cache file (the pre-log format) is readable, and
-    the first save/compact rewrites it as a record log without loss."""
+@pytest.mark.parametrize('indent', [None, 2])
+def test_monolithic_json_cache_is_not_a_record_log(tmp_path, indent):
+    """A monolithic-JSON cache file (the format before the record log), on
+    one line or indented, fails to load with a named error; a save over it
+    starts a fresh log, so a registry or fleet booting on it starts cold."""
     path = str(tmp_path / 'schedules.json')
-    legacy = _writer([0, 1])
+    held = _writer([0, 1])
+    legacy = {'version': CACHE_FORMAT_VERSION,
+              'entries': {sig: entry.to_json()
+                          for sig, entry in held._entries.items()},
+              'measurements': [rec.to_json() for rec in held.measurements()]}
     with open(path, 'w', encoding='utf-8') as f:
-        json.dump(legacy.to_json(), f)
+        json.dump(legacy, f, indent=indent)
+    with pytest.raises(ValueError, match='not a schedule-cache record log'):
+        ScheduleCache.load(path)
+    with pytest.raises(ValueError, match='not a schedule-cache record log'):
+        compact_log(path)
 
-    # readable as-is
-    assert len(ScheduleCache.load(path)) == 2
-
-    # a save on top migrates: disk records survive, new records land
-    newcomer = _writer([2])
-    newcomer.save(path)
+    _writer([2]).save(path)
     with open(path, 'r', encoding='utf-8') as f:
         header = json.loads(f.readline())
-    assert header.get('log') == 1
-    assert header.get('version') == CACHE_FORMAT_VERSION
-    merged = ScheduleCache.load(path)
-    assert len(merged) == 3
-    assert merged.measurement_count == 3
-
-    # compacting a legacy file migrates it too
-    legacy_path = str(tmp_path / 'legacy2.json')
-    with open(legacy_path, 'w', encoding='utf-8') as f:
-        json.dump(legacy.to_json(), f)
-    kept = compact_log(legacy_path)
-    assert kept == 4                     # 2 entries + 2 measurement records
-    assert len(ScheduleCache.load(legacy_path)) == 2
+    assert header == {'log': 1, 'version': CACHE_FORMAT_VERSION}
+    reloaded = ScheduleCache.load(path)
+    assert {sig for sig in SIGNATURES if sig in reloaded} == {'sig_02'}
 
 
 def test_concurrent_savers_cannot_drop_entries(tmp_path):

@@ -101,12 +101,18 @@ class TestScheduleCacheCore:
         assert loaded.get('m-sig', kind='matmul').block_m == msched.block_m
 
     def test_version_field_written_and_checked(self, tmp_path):
+        path = str(tmp_path / 'schedules.jsonl')
         cache = ScheduleCache()
         cache.put('s', 'matmul', MatmulSchedule())
-        data = cache.to_json()
-        assert data['version'] == CACHE_FORMAT_VERSION
+        cache.save(path)
+        with open(path, encoding='utf-8') as f:
+            header = json.loads(f.readline())
+        assert header['version'] == CACHE_FORMAT_VERSION
+        stale = str(tmp_path / 'stale.jsonl')
+        with open(stale, 'w', encoding='utf-8') as f:
+            f.write('{"log":1,"version":-1}\n')
         with pytest.raises(ValueError, match='version'):
-            ScheduleCache().merge_json({'version': -1, 'entries': {}})
+            ScheduleCache.load(stale)
 
     def test_unknown_schedule_kind_rejected(self):
         with pytest.raises(ValueError, match='kind'):
@@ -132,14 +138,15 @@ class TestWarmCompile:
         cold_clock = SimulatedClock()
         cold = optimize(graph, clock=cold_clock, cache=cache)
         assert cold.tuning_seconds > 0
-        assert cold.cache_misses > 0
+        assert cold.compile_report.cache_misses > 0
 
         warm_clock = SimulatedClock()
         warm = optimize(graph, clock=warm_clock, cache=cache)
         assert warm_clock.elapsed_seconds == 0.0     # zero simulated seconds
         assert warm_clock.events == []               # zero tuner measurements
         assert warm.tuning_seconds == 0.0
-        assert warm.cache_misses == 0 and warm.cache_hits > 0
+        assert warm.compile_report.cache_misses == 0
+        assert warm.compile_report.cache_hits > 0
         assert warm.latency == cold.latency          # identical modeled latency
 
     def test_warm_from_disk_in_fresh_process_emulation(self, tmp_path):
@@ -154,7 +161,7 @@ class TestWarmCompile:
         warm = executor.compile(small_cnn())         # freshly built graph
         assert warm.tuning_seconds == 0.0
         assert executor.clock.events == []
-        assert warm.cache_misses == 0
+        assert warm.compile_report.cache_misses == 0
         assert warm.latency == cold.latency
 
     def test_cache_shared_across_executor_instances(self):
@@ -163,7 +170,8 @@ class TestWarmCompile:
         HidetExecutor(cache=cache).compile(graph)
         second = HidetExecutor(cache=cache)
         compiled = second.compile(graph)
-        assert compiled.tuning_seconds == 0.0 and compiled.cache_misses == 0
+        assert compiled.tuning_seconds == 0.0
+        assert compiled.compile_report.cache_misses == 0
 
     def test_default_cache_is_process_wide(self):
         assert default_schedule_cache() is default_schedule_cache()
@@ -184,7 +192,7 @@ class TestWarmCompile:
         cold = HidetExecutor(cache=cache).compile(graph)
         assert any(op.kind == 'reduce_template' for op in cold.ops)
         warm = HidetExecutor(cache=cache).compile(softmax_graph())
-        assert warm.cache_misses == 0
+        assert warm.compile_report.cache_misses == 0
         assert warm.latency == cold.latency
 
     def test_prologue_constants_distinguish_signatures(self):

@@ -201,7 +201,7 @@ class TestCompileReport:
         report = compiled.compile_report
         assert isinstance(report, CompileReport)
         assert report.tuning_seconds == compiled.tuning_seconds > 0
-        assert report.cache_misses == compiled.cache_misses > 0
+        assert report.cache_misses > 0
         # serve-time latency is not part of the compile report
         assert compiled.latency > 0
 

@@ -475,12 +475,19 @@ class TestDeploymentSpecFields:
         spec.validate()
 
     def test_tuning_workers_must_be_positive(self):
-        with pytest.raises(SpecValidationError, match='tuning_workers'):
+        with pytest.raises(SpecValidationError) as err:
             self._spec(tuning_workers=0).validate()
+        assert err.value.field == 'cache.tuning_workers'
+        assert str(err.value) == 'cache.tuning_workers: must be >= 1, got 0'
 
     def test_parallel_pretune_requires_warm_from(self):
-        with pytest.raises(SpecValidationError, match='warm_from'):
+        with pytest.raises(SpecValidationError) as err:
             self._spec(tuning_workers=2).validate()
+        assert err.value.field == 'cache.tuning_workers'
+        assert str(err.value) == (
+            'cache.tuning_workers: parallel pre-tuning needs cache.warm_from: '
+            'the workers share it as their record log and replicas warm '
+            'from it')
 
     def test_registry_and_fleet_thread_the_cost_model(self):
         from repro.serve import Fleet, ModelAffinePlacement
