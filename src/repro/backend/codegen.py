@@ -8,8 +8,9 @@ double-buffered kernel declares two shared buffers and syncs once per tile").
 """
 from __future__ import annotations
 
-from ..ir.expr import (BinaryExpr, BlockIndex, Call, Cast, Constant, Expr,
-                       IfThenElse, TensorElement, ThreadIndex, UnaryExpr, Var)
+from ..ir.expr import (BINARY_PRECEDENCE, BinaryExpr, BlockIndex, Call, Cast,
+                       Constant, Expr, IfThenElse, TensorElement, ThreadIndex,
+                       UnaryExpr, Var)
 from ..ir.func import Function, IRModule
 from ..ir.stmt import (AssignStmt, BarrierStmt, BufferStoreStmt, DeclareStmt,
                        EvaluateStmt, ForStmt, ForTaskStmt, IfStmt, LetStmt,
@@ -25,11 +26,6 @@ _CUDA_DTYPE = {
     'float64': 'double', 'float32': 'float', 'float16': '__half',
     'int64': 'long long', 'int32': 'int', 'int8': 'char', 'uint8': 'unsigned char',
     'bool': 'bool',
-}
-
-_PRECEDENCE = {
-    '||': 1, '&&': 2, '==': 3, '!=': 3, '<': 4, '<=': 4,
-    '+': 5, '-': 5, '*': 6, '/': 6, '//': 6, '%': 6,
 }
 
 _MATH_FUNCS = {
@@ -71,7 +67,7 @@ class CudaCodegen:
             if e.op in ('min', 'max'):
                 return f'{e.op}({self.expr(e.a)}, {self.expr(e.b)})'
             op = {'//': '/'}.get(e.op, e.op)
-            prec = _PRECEDENCE[e.op]
+            prec = BINARY_PRECEDENCE[e.op]
             text = f'{self.expr(e.a, prec)} {op} {self.expr(e.b, prec + 1)}'
             return f'({text})' if prec < parent_prec else text
         if isinstance(e, UnaryExpr):

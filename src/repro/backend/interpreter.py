@@ -22,13 +22,13 @@ vehicle (latency comes from :mod:`repro.gpusim`).
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ..ir.expr import (BinaryExpr, BlockIndex, Call, Cast, Constant, Expr,
-                       IfThenElse, TensorElement, ThreadIndex, UnaryExpr, Var)
+from ..ir.expr import (PY_UNARY, BinaryExpr, BlockIndex, Call, Cast, Constant,
+                       Expr, IfThenElse, TensorElement, ThreadIndex, UnaryExpr,
+                       Var)
 from ..ir.func import Function
 from ..ir.stmt import (AssignStmt, BarrierStmt, BufferStoreStmt, DeclareStmt,
                        EvaluateStmt, ForStmt, ForTaskStmt, IfStmt, LetStmt,
@@ -57,15 +57,6 @@ class _Ctx:
         self.shared = shared    # var id -> per-block shared buffer
         self.tx, self.ty, self.tz = thread
         self.bx, self.by, self.bz = block
-
-
-_MATH_UNARY = {
-    'exp': math.exp, 'log': math.log, 'sqrt': math.sqrt,
-    'rsqrt': lambda a: 1.0 / math.sqrt(a),
-    'abs': abs, 'tanh': math.tanh, 'erf': math.erf,
-    'floor': math.floor, 'ceil': math.ceil,
-    'sigmoid': lambda a: 1.0 / (1.0 + math.exp(-a)),
-}
 
 
 class KernelInterpreter:
@@ -128,11 +119,7 @@ class KernelInterpreter:
             return table[op]
         if isinstance(e, UnaryExpr):
             a = self.compile_expr(e.a)
-            if e.op == '-':
-                return lambda ctx: -a(ctx)
-            if e.op == '!':
-                return lambda ctx: not a(ctx)
-            fn = _MATH_UNARY[e.op]
+            fn = PY_UNARY[e.op]
             return lambda ctx: fn(a(ctx))
         if isinstance(e, Cast):
             inner = self.compile_expr(e.expr)

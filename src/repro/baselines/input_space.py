@@ -15,8 +15,7 @@ from .tiling import factor_splits_count
 from ..graph.flow_graph import FlowGraph
 from ..graph.ops.conv import Conv2dOp
 
-__all__ = ['ConvWorkload', 'autotvm_conv_space_size', 'autotvm_matmul_space_size',
-           'resnet50_conv_workloads', 'conv_space_sizes']
+__all__ = ['ConvWorkload', 'autotvm_conv_space_size', 'resnet50_conv_workloads']
 
 
 @dataclass(frozen=True)
@@ -69,12 +68,6 @@ def autotvm_conv_space_size(w: ConvWorkload) -> int:
     return size
 
 
-def autotvm_matmul_space_size(m: int, n: int, k: int) -> int:
-    """Size of an AutoTVM-style dense template space (4-4-3 level splits)."""
-    return (factor_splits_count(m, 4) * factor_splits_count(n, 4)
-            * factor_splits_count(k, 3) * 3 * 2)
-
-
 #: the distinct convolution workloads of ResNet-50 at batch 1 (stem + the
 #: unique (in, out, size, kernel, stride) combinations of the four stages)
 _RESNET50_CONVS = [
@@ -113,13 +106,3 @@ def resnet50_conv_workloads(batch_size: int = 1) -> list[ConvWorkload]:
     from dataclasses import replace
     return [replace(w, batch=batch_size) for w in _RESNET50_CONVS]
 
-
-def conv_space_sizes(workloads=None) -> list[tuple[ConvWorkload, int]]:
-    """(workload, AutoTVM space size) pairs — the data behind Figure 7.
-
-    Each unique workload appears once; use ``workload.count`` to weight the
-    geometric mean over the 53 convolution layers, as the paper's figure does.
-    """
-    if workloads is None:
-        workloads = resnet50_conv_workloads()
-    return [(w, autotvm_conv_space_size(w)) for w in workloads]

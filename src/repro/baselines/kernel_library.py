@@ -19,7 +19,6 @@ from typing import Optional
 
 from .tiling import TileConfig, tiled_matmul_stats, contraction_dims_of_conv
 from ..gpusim.device import DeviceSpec, RTX3090
-from ..gpusim.perfmodel import PerfModel
 from ..gpusim.stats import KernelStats, OVERLAP_NONE
 
 __all__ = ['KernelLibrary']
@@ -42,7 +41,6 @@ class KernelLibrary:
 
     def __init__(self, device: DeviceSpec = RTX3090):
         self.device = device
-        self.model = PerfModel(device)
 
     # -- GEMM -----------------------------------------------------------------
 
@@ -73,9 +71,6 @@ class KernelLibrary:
                                   double_buffer=True, batch=batch,
                                   extra_read_bytes=fused_epilogue_bytes,
                                   device=self.device)
-
-    def gemm_latency(self, m: int, n: int, k: int, batch: int = 1) -> float:
-        return self.model.latency(self.gemm_stats(m, n, k, batch))
 
     # -- convolution ----------------------------------------------------------
 

@@ -64,10 +64,6 @@ class TuningResult:
     #: ``tune(analyzer=...)`` was given a candidate filter)
     analysis_rejected: int = 0
 
-    @property
-    def best_latency_ms(self) -> float:
-        return self.best_latency * 1e3
-
 
 class _CandidateSet:
     """A memoized candidate list, its row index and (built on first use)
@@ -101,7 +97,7 @@ class MatmulTuner:
         #: (device, space, split-k factors) -> memoized candidate list
         self._candidate_sets: dict[tuple, _CandidateSet] = {}
         # lifetime accounting (drives the tuning.measurements_per_task bench
-        # metric and the CompileReport counters)
+        # metric, the CompileReport counters and the analysis gate's report)
         #: candidate measurements actually charged to the clock
         self.measurements_charged = 0
         #: problems tuned (tuner-cache hits excluded — nothing was charged)

@@ -3,7 +3,7 @@ from .device import DeviceSpec, RTX3090, A100, LAPTOP_GPU
 from .occupancy import (Occupancy, compute_occupancy, occupancy_features,
                         OCCUPANCY_FEATURE_NAMES)
 from .stats import KernelStats, LaunchStats, OVERLAP_NONE, OVERLAP_DOUBLE_BUFFER, OVERLAP_MULTI_STAGE
-from .perfmodel import PerfModel, ModelParams, estimate_latency
+from .perfmodel import PerfModel, ModelParams
 from .clock import SimulatedClock, TuningCosts
 from .decode import DecodeCostModel, HOST_LINK_BYTES_PER_S
 
@@ -14,6 +14,6 @@ __all__ = [
     'OCCUPANCY_FEATURE_NAMES',
     'KernelStats', 'LaunchStats', 'OVERLAP_NONE', 'OVERLAP_DOUBLE_BUFFER',
     'OVERLAP_MULTI_STAGE',
-    'PerfModel', 'ModelParams', 'estimate_latency',
+    'PerfModel', 'ModelParams',
     'SimulatedClock', 'TuningCosts',
 ]

@@ -33,10 +33,6 @@ class SimulatedClock:
     def elapsed_seconds(self) -> float:
         return self._elapsed
 
-    @property
-    def elapsed_hours(self) -> float:
-        return self._elapsed / 3600.0
-
     def charge(self, label: str, seconds: float) -> None:
         if seconds < 0:
             raise ValueError('cannot charge negative time')

@@ -31,7 +31,7 @@ from .device import DeviceSpec, RTX3090
 from .occupancy import Occupancy, compute_occupancy
 from .stats import KernelBatch, KernelStats, LaunchStats
 
-__all__ = ['PerfModel', 'estimate_latency', 'ModelParams']
+__all__ = ['PerfModel', 'ModelParams']
 
 
 @dataclass(frozen=True)
@@ -105,11 +105,6 @@ class PerfModel:
     def latency(self, stats: KernelStats) -> float:
         """Seconds for one launch of the kernel."""
         return self.estimate(stats).latency
-
-
-def estimate_latency(stats: KernelStats, device: DeviceSpec = RTX3090) -> float:
-    """Convenience one-shot latency estimate in seconds."""
-    return PerfModel(device).latency(stats)
 
 
 def _launch_terms(ops: Ops, device: DeviceSpec, params: ModelParams,

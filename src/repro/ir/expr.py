@@ -9,6 +9,7 @@ so programs read like the pseudo-code in the paper::
 """
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence, Union
 
 from .types import DataType, TensorType, data_type, i32, boolean
@@ -101,9 +102,32 @@ class Constant(Expr):
         self.value = self.dtype.cast_py(value)
 
 
-#: Binary operator kinds and their python semantics (used by interpreter/simplifier).
-BINARY_OP_KINDS = ('+', '-', '*', '/', '//', '%', 'min', 'max',
-                   '<', '<=', '==', '!=', '&&', '||')
+#: Binary operator kinds and their python semantics (used by the constant
+#: folder; the interpreter keeps ``&&``/``||`` lazy).
+PY_BINARY = {
+    '+': lambda a, b: a + b,
+    '-': lambda a, b: a - b,
+    '*': lambda a, b: a * b,
+    '/': lambda a, b: a / b,
+    '//': lambda a, b: a // b,
+    '%': lambda a, b: a % b,
+    'min': min,
+    'max': max,
+    '<': lambda a, b: a < b,
+    '<=': lambda a, b: a <= b,
+    '==': lambda a, b: a == b,
+    '!=': lambda a, b: a != b,
+    '&&': lambda a, b: bool(a) and bool(b),
+    '||': lambda a, b: bool(a) or bool(b),
+}
+BINARY_OP_KINDS = tuple(PY_BINARY)
+
+#: Binding strength of the infix binary operators in printed IR and CUDA
+#: (higher binds tighter); ``min``/``max`` print as calls.
+BINARY_PRECEDENCE = {
+    '||': 1, '&&': 2, '==': 3, '!=': 3, '<': 4, '<=': 4,
+    '+': 5, '-': 5, '*': 6, '/': 6, '//': 6, '%': 6,
+}
 
 
 class BinaryExpr(Expr):
@@ -117,9 +141,18 @@ class BinaryExpr(Expr):
         self.b = b
 
 
-#: Unary operator kinds: arithmetic negation, logical not, and math intrinsics.
-UNARY_OP_KINDS = ('-', '!', 'exp', 'log', 'sqrt', 'rsqrt', 'abs',
-                  'tanh', 'erf', 'floor', 'ceil', 'sigmoid')
+#: Unary operator kinds (arithmetic negation, logical not, and math
+#: intrinsics) and their python semantics.
+PY_UNARY = {
+    '-': lambda a: -a,
+    '!': lambda a: not a,
+    'exp': math.exp, 'log': math.log, 'sqrt': math.sqrt,
+    'rsqrt': lambda a: 1.0 / math.sqrt(a),
+    'abs': abs, 'tanh': math.tanh, 'erf': math.erf,
+    'floor': math.floor, 'ceil': math.ceil,
+    'sigmoid': lambda a: 1.0 / (1.0 + math.exp(-a)),
+}
+UNARY_OP_KINDS = tuple(PY_UNARY)
 
 
 class UnaryExpr(Expr):

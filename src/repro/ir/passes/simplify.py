@@ -22,43 +22,15 @@ earlier lookup read is bound to a different one.
 """
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 from ..expr import (Expr, Var, Constant, BinaryExpr, UnaryExpr, Cast, TensorElement,
-                    IfThenElse, Call, ThreadIndex, BlockIndex, convert)
+                    IfThenElse, Call, ThreadIndex, BlockIndex, PY_BINARY, PY_UNARY,
+                    convert)
 from ..functor import MemoRewriter, collect_stmts
 from ..stmt import AssignStmt, DeclareStmt, ForStmt, IfStmt, SeqStmt, Stmt
 
 __all__ = ['simplify', 'const_int']
-
-_PY_BINARY = {
-    '+': lambda a, b: a + b,
-    '-': lambda a, b: a - b,
-    '*': lambda a, b: a * b,
-    '/': lambda a, b: a / b,
-    '//': lambda a, b: a // b,
-    '%': lambda a, b: a % b,
-    'min': min,
-    'max': max,
-    '<': lambda a, b: a < b,
-    '<=': lambda a, b: a <= b,
-    '==': lambda a, b: a == b,
-    '!=': lambda a, b: a != b,
-    '&&': lambda a, b: bool(a) and bool(b),
-    '||': lambda a, b: bool(a) or bool(b),
-}
-
-_PY_UNARY = {
-    '-': lambda a: -a,
-    '!': lambda a: not a,
-    'exp': math.exp, 'log': math.log, 'sqrt': math.sqrt,
-    'rsqrt': lambda a: 1.0 / math.sqrt(a),
-    'abs': abs, 'tanh': math.tanh, 'erf': math.erf,
-    'floor': math.floor, 'ceil': math.ceil,
-    'sigmoid': lambda a: 1.0 / (1.0 + math.exp(-a)),
-}
-
 
 def const_int(e: Expr) -> Optional[int]:
     """Return the integer value of a constant expression, else ``None``."""
@@ -169,7 +141,7 @@ class Simplifier(MemoRewriter):
         b = self.visit(e.b)
         ca, cb = isinstance(a, Constant), isinstance(b, Constant)
         if ca and cb:
-            result = _PY_BINARY[e.op](a.value, b.value)
+            result = PY_BINARY[e.op](a.value, b.value)
             if e.op in ('<', '<=', '==', '!=', '&&', '||'):
                 return Constant(bool(result), 'bool')
             if e.op == '/':
@@ -242,7 +214,7 @@ class Simplifier(MemoRewriter):
         a = self.visit(e.a)
         if isinstance(a, Constant):
             try:
-                result = _PY_UNARY[e.op](a.value)
+                result = PY_UNARY[e.op](a.value)
             except (ValueError, OverflowError):
                 result = None
             if result is not None:

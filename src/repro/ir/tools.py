@@ -4,18 +4,12 @@ from __future__ import annotations
 from typing import Mapping
 
 from .expr import (Expr, Var, Constant, BinaryExpr, UnaryExpr, Cast, TensorElement,
-                   IfThenElse, Call, ThreadIndex, BlockIndex)
+                   IfThenElse, Call, ThreadIndex, BlockIndex, BINARY_PRECEDENCE)
 from .stmt import (Stmt, DeclareStmt, BufferStoreStmt, AssignStmt, LetStmt, ForStmt,
                    ForTaskStmt, IfStmt, SeqStmt, BarrierStmt, EvaluateStmt)
-from .functor import IRRewriter, IRVisitor, MemoRewriter
+from .functor import IRVisitor, MemoRewriter
 
-__all__ = ['expr_repr', 'stmt_repr', 'func_repr', 'substitute', 'free_vars', 'rename_vars']
-
-_PRECEDENCE = {
-    '||': 1, '&&': 2, '==': 3, '!=': 3, '<': 4, '<=': 4,
-    '+': 5, '-': 5, '*': 6, '/': 6, '//': 6, '%': 6,
-}
-
+__all__ = ['expr_repr', 'stmt_repr', 'func_repr', 'substitute', 'free_vars']
 
 def expr_repr(e: Expr) -> str:
     return _ExprPrinter().visit(e)
@@ -36,7 +30,7 @@ class _ExprPrinter:
         if isinstance(e, BinaryExpr):
             if e.op in ('min', 'max'):
                 return f'{e.op}({self.visit(e.a)}, {self.visit(e.b)})'
-            prec = _PRECEDENCE[e.op]
+            prec = BINARY_PRECEDENCE[e.op]
             text = f'{self.visit(e.a, prec)} {e.op} {self.visit(e.b, prec + 1)}'
             return f'({text})' if prec < parent_prec else text
         if isinstance(e, UnaryExpr):
@@ -167,16 +161,3 @@ def free_vars(node) -> list[Var]:
     collector.visit(node)
     return collector.free
 
-
-def rename_vars(node, renamer) -> object:
-    """Apply ``renamer(var) -> str | None`` to every distinct Var, renaming in place-safe copies."""
-    mapping: dict[Var, Var] = {}
-
-    class Renamer(IRRewriter):
-        def visit_Var(self, e: Var):
-            if e not in mapping:
-                new_name = renamer(e)
-                mapping[e] = Var(new_name, e.type) if new_name else e
-            return mapping[e]
-
-    return Renamer().visit(node)

@@ -49,10 +49,6 @@ class DataType:
     def __hash__(self) -> int:
         return hash(self.name)
 
-    @property
-    def nbits(self) -> int:
-        return self.nbytes * 8
-
     def cast_py(self, value):
         """Cast a python scalar to this type's semantics (used by the interpreter)."""
         if self.is_float:

@@ -13,35 +13,32 @@ Three layers, one package:
 * **trajectory** (:mod:`repro.obs.bench` + :mod:`repro.obs.compare`) —
   the ``BENCH_<area>.json`` result format every benchmark emits and the
   ``python -m repro.obs.compare`` gate that fails CI on regressions
-  beyond per-metric noise bands.
+  beyond per-metric noise bands.  The package does not import
+  :mod:`repro.obs.compare` (runpy must find it unimported to run it as
+  ``__main__``); import ``compare`` from that module.
 
 :class:`Telemetry` is the facade the simulators call; it keeps the
 metric and trace views of a run in lockstep.  ``repro.obs`` imports
 nothing from ``repro.serve``/``repro.runtime`` — it sits at the bottom
 of the import graph so every layer above can speak it.
 """
-from .percentiles import is_nan, percentile, percentiles, summarize_latencies
-from .metrics import (Counter, Gauge, Histogram, Measurement,
-                      MetricsRegistry, format_metrics_report)
+from .percentiles import is_nan, percentile
+from .metrics import Counter, Gauge, Histogram, Measurement, MetricsRegistry
 from .tracing import (LIFECYCLE_TRACK, TERMINAL_KINDS, BatchSpan, Instant,
                       RequestSpan, Tracer)
 from .telemetry import NULL_TELEMETRY, NullTelemetry, Telemetry
 from .bench import BenchMetric, BenchResult
-# binds the *function* over the submodule attribute of the same name, so
-# `from repro.obs import compare` is callable regardless of import order
-from .compare import Comparison, MetricDelta, compare
 
 __all__ = [
     # percentiles
-    'percentile', 'percentiles', 'summarize_latencies', 'is_nan',
+    'percentile', 'is_nan',
     # metrics
     'Counter', 'Gauge', 'Histogram', 'Measurement', 'MetricsRegistry',
-    'format_metrics_report',
     # tracing
     'Tracer', 'RequestSpan', 'BatchSpan', 'Instant', 'TERMINAL_KINDS',
     'LIFECYCLE_TRACK',
     # telemetry facade
     'Telemetry', 'NullTelemetry', 'NULL_TELEMETRY',
     # trajectory harness
-    'BenchMetric', 'BenchResult', 'Comparison', 'MetricDelta', 'compare',
+    'BenchMetric', 'BenchResult',
 ]

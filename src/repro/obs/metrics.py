@@ -32,8 +32,7 @@ import numpy as np
 
 from .percentiles import percentile
 
-__all__ = ['Counter', 'Gauge', 'Histogram', 'Measurement', 'MetricsRegistry',
-           'format_metrics_report']
+__all__ = ['Counter', 'Gauge', 'Histogram', 'Measurement', 'MetricsRegistry']
 
 
 @dataclass(frozen=True)
@@ -221,28 +220,3 @@ class MetricsRegistry:
         return {name: self._metrics[name].snapshot()
                 for name in sorted(self._metrics)}
 
-
-def format_metrics_report(registry: MetricsRegistry,
-                          title: str = 'metrics') -> str:
-    """Human-readable dump of a registry, grouped by metric kind."""
-    snap = registry.snapshot()
-    lines = [f'{title}: {len(snap)} metrics']
-    for kind in ('counter', 'gauge', 'histogram'):
-        rows = {n: s for n, s in snap.items() if s['type'] == kind}
-        if not rows:
-            continue
-        lines.append(f'  {kind}s:')
-        for name, s in rows.items():
-            unit = f' {s["unit"]}' if s.get('unit') else ''
-            if kind == 'counter':
-                lines.append(f'    {name:42s} {s["value"]:14.6g}{unit}')
-            elif kind == 'gauge':
-                lines.append(f'    {name:42s} last {s["last"]:10.6g}  '
-                             f'max {s["max"]:10.6g}  '
-                             f'({s["num_samples"]} samples){unit}')
-            else:
-                lines.append(f'    {name:42s} n={s["count"]:<7d} '
-                             f'mean {s["mean"]:10.6g}  p50 {s["p50"]:10.6g}  '
-                             f'p99 {s["p99"]:10.6g}  '
-                             f'max {s["max"]:10.6g}{unit}')
-    return '\n'.join(lines)

@@ -12,11 +12,11 @@ and NaN never fakes an SLO pass).
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-__all__ = ['percentile', 'percentiles', 'summarize_latencies']
+__all__ = ['percentile', 'is_nan']
 
 
 def percentile(values: Iterable[float], q: float) -> float:
@@ -33,32 +33,6 @@ def percentile(values: Iterable[float], q: float) -> float:
     if arr.size == 0:
         return float('nan')
     return float(np.percentile(arr, q))
-
-
-def percentiles(values: Iterable[float],
-                qs: Sequence[float]) -> tuple[float, ...]:
-    """Several percentiles of one sample, materialized once."""
-    arr = np.asarray(values if isinstance(values, (np.ndarray, list, tuple))
-                     else list(values), dtype=float)
-    return tuple(percentile(arr, q) for q in qs)
-
-
-def summarize_latencies(latencies_ms: Iterable[float]) -> dict[str, float]:
-    """The standard latency block every report prints: p50/p95/p99/mean/max.
-
-    Keys are ``p50_ms``/``p95_ms``/``p99_ms``/``mean_ms``/``max_ms``; an
-    empty sample yields NaN throughout.
-    """
-    arr = np.asarray(latencies_ms if isinstance(latencies_ms,
-                                                (np.ndarray, list, tuple))
-                     else list(latencies_ms), dtype=float)
-    if arr.size == 0:
-        nan = float('nan')
-        return {'p50_ms': nan, 'p95_ms': nan, 'p99_ms': nan,
-                'mean_ms': nan, 'max_ms': nan}
-    p50, p95, p99 = percentiles(arr, (50, 95, 99))
-    return {'p50_ms': p50, 'p95_ms': p95, 'p99_ms': p99,
-            'mean_ms': float(arr.mean()), 'max_ms': float(arr.max())}
 
 
 def is_nan(value: float) -> bool:

@@ -51,12 +51,6 @@ class CompileReport:
     #: tuned problems where the cost-model shortcut fell back to full
     #: measurement (underfit model, or the calibration gate tripped)
     cost_model_fallbacks: int = 0
-    #: candidate schedules screened by the static analyzer before
-    #: measurement (0 unless the executor carries a candidate_analyzer)
-    analysis_checked: int = 0
-    #: screened candidates rejected as statically unsafe — dropped from the
-    #: space before any compile or measurement cost was charged
-    analysis_rejected: int = 0
 
     @property
     def measurements_per_task(self) -> float:
@@ -97,10 +91,6 @@ class CompiledOp:
         for op in members:
             values[op.output._id] = op.run_numpy(*[value_of(t) for t in op.inputs])
         return values[self.group.output._id]
-
-    @property
-    def latency_us(self) -> float:
-        return self.latency * 1e6
 
 
 @dataclass

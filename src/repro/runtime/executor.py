@@ -46,12 +46,10 @@ from ..gpusim.clock import SimulatedClock
 from ..gpusim.device import DeviceSpec, RTX3090
 from ..gpusim.perfmodel import PerfModel
 from ..gpusim.stats import KernelStats
-from ..ir.compute import ReduceCompute
-from ..ir.functor import collect
 from ..sched import matmul_template
 from ..sched.fusion import apply_fusion
 from ..sched.reduce_template import build_reduce_module, is_last_axis_reduction, reduce_stats
-from ..sched.rule_based import ELEMENTWISE_BLOCK, build_rule_based_module
+from ..sched.rule_based import build_rule_based_module, rule_based_stats
 from .cache import (MeasurementRecord, ScheduleCache, default_schedule_cache,
                     fusion_fingerprint, space_fingerprint,
                     task_device_family_signature, task_family_signature,
@@ -102,7 +100,6 @@ class HidetExecutor:
                  clock: Optional[SimulatedClock] = None,
                  space: Optional[Sequence[MatmulSchedule]] = None,
                  enable_fusion: bool = True,
-                 double_buffer: bool = True,
                  try_split_k: bool = True,
                  build_ir: bool = False,
                  cache: Optional[ScheduleCache] = None,
@@ -110,12 +107,10 @@ class HidetExecutor:
                  enable_device_transfer: bool = False,
                  cost_model=None,
                  record_measurements: Optional[bool] = None,
-                 check_ir: bool = True,
-                 candidate_analyzer=None):
+                 check_ir: bool = True):
         self.device = device
         self.clock = clock if clock is not None else SimulatedClock()
-        self.space = space if space is not None else matmul_schedule_space(
-            device, double_buffer=double_buffer)
+        self.space = space if space is not None else matmul_schedule_space(device)
         self.tuner = MatmulTuner(device, HIDET_TUNING_COSTS, self.clock)
         #: device-only, like self.space — built once, not per reduce group
         self._reduce_space = list(reduce_schedule_space(device))
@@ -180,13 +175,6 @@ class HidetExecutor:
         #: AnalysisError.  Defaults to on; check_ir=False is the escape
         #: hatch for speed-sensitive runs.
         self.check_ir = bool(check_ir)
-        #: optional pre-measurement candidate filter (duck-typed:
-        #: ``reject(m, n, k, sched, batch) -> Optional[str]``, see
-        #: :class:`repro.analysis.ScheduleAnalyzer`): statically unsafe
-        #: schedules are dropped from the tuning space before any
-        #: measurement is charged.  Opt-in — instantiating the template for
-        #: every candidate costs more than the simulated measurement does.
-        self.candidate_analyzer = candidate_analyzer
 
     # ------------------------------------------------------------------
 
@@ -202,8 +190,6 @@ class HidetExecutor:
         tuned0 = self.tuner.tasks_tuned
         ranked0 = self.tuner.ranked_tasks
         fallbacks0 = self.tuner.fallback_tasks
-        checked0 = self.tuner.analysis_checked
-        rejected0 = self.tuner.analysis_rejected
         self._namespace = namespace
         try:
             optimized, groups = self._partition(graph)
@@ -226,10 +212,7 @@ class HidetExecutor:
                 tuned_tasks=self.tuner.tasks_tuned - tuned0,
                 ranked_tasks=self.tuner.ranked_tasks - ranked0,
                 cost_model_fallbacks=(self.tuner.fallback_tasks
-                                      - fallbacks0),
-                analysis_checked=self.tuner.analysis_checked - checked0,
-                analysis_rejected=(self.tuner.analysis_rejected
-                                   - rejected0)),
+                                      - fallbacks0)),
             name=name or f'hidet_{graph.name}',
         )
 
@@ -274,17 +257,14 @@ class HidetExecutor:
             problems: list[TuningProblem] = []
             seen: set[str] = set()
             for group in groups:
-                spec = build_group_spec(group)
-                task = group.anchor.task
-                if task.attrs.get('kind', '') == 'matmul':
-                    problem = self._matmul_problem(group, spec)
-                elif (is_last_axis_reduction(task)
-                        and task.attrs.get('reduce_size', 0)
-                        >= REDUCE_TEMPLATE_THRESHOLD
-                        and self._reduce_space):
-                    problem = self._reduce_problem(group, spec)
-                else:
+                kind = self._kind(group.anchor.task)
+                if kind == 'rule_based':
                     continue
+                spec = build_group_spec(group)
+                if kind == 'matmul':
+                    problem = self._matmul_problem(group, spec)
+                else:
+                    problem = self._reduce_problem(group, spec)
                 if problem.signature in seen:
                     continue
                 seen.add(problem.signature)
@@ -322,14 +302,26 @@ class HidetExecutor:
             return optimized, partition_graph(optimized)
         return optimized, [FusedGroup(anchor=op) for op in optimized.nodes]
 
+    def _kind(self, task) -> str:
+        """The scheduler a group's anchor task goes to: ``'matmul'`` (the
+        tuned template), ``'reduce'`` (the reduce-template mini-tune, for
+        deep last-axis reductions when the device admits a reduce schedule)
+        or ``'rule_based'``.  Decided before any cache lookup, so the
+        rule-based fallback of a device without reduce schedules never
+        counts a miss (a warm compile must report zero misses)."""
+        if task.attrs.get('kind', '') == 'matmul':
+            return 'matmul'
+        if (self._reduce_space and is_last_axis_reduction(task)
+                and task.attrs.get('reduce_size', 0) >= REDUCE_TEMPLATE_THRESHOLD):
+            return 'reduce'
+        return 'rule_based'
+
     def _compile_group(self, group: FusedGroup) -> CompiledOp:
         spec = build_group_spec(group)
-        task = group.anchor.task
-        kind = task.attrs.get('kind', '')
+        kind = self._kind(group.anchor.task)
         if kind == 'matmul':
             return self._compile_matmul_group(group, spec)
-        if (is_last_axis_reduction(task)
-                and task.attrs.get('reduce_size', 0) >= REDUCE_TEMPLATE_THRESHOLD):
+        if kind == 'reduce':
             return self._compile_reduce_group(group, spec)
         return self._compile_rule_based_group(group, spec)
 
@@ -467,8 +459,7 @@ class HidetExecutor:
                                      extra_read_bytes=p.extra_read_bytes,
                                      extra_write_bytes=p.extra_write_bytes,
                                      batch=p.batch, precompiled=precompiled,
-                                     cost_model=self.cost_model,
-                                     analyzer=self.candidate_analyzer)
+                                     cost_model=self.cost_model)
         for cand, latency in (result.latencies.items()
                               if self.record_measurements else ()):
             self.cache.record_measurement(MeasurementRecord(
@@ -575,13 +566,6 @@ class HidetExecutor:
 
     def _compile_reduce_group(self, group: FusedGroup, spec: GroupSpec) -> CompiledOp:
         task = group.anchor.task
-        space = self._reduce_space
-        if not space:
-            # the device admits no valid reduce schedule: fall back to the
-            # rule-based serial reduction — checked before the cache lookup
-            # so the permanent fallback does not count a miss every compile
-            # (a warm compile must report zero misses)
-            return self._compile_rule_based_group(group, spec)
         problem = self._reduce_problem(group, spec)
         signature = problem.signature
         best_sched = self._schedule_reduce(problem)
@@ -602,7 +586,8 @@ class HidetExecutor:
 
     def _compile_rule_based_group(self, group: FusedGroup, spec: GroupSpec) -> CompiledOp:
         task = group.anchor.task
-        stats = [self._fused_rule_based_stats(group, spec)]
+        stats = [rule_based_stats(task, group.input_tensors(), group.output,
+                                  name=group.name)]
         latency = sum(self.model.latency(s) for s in stats)
         module = None
         if self.build_ir:
@@ -626,37 +611,6 @@ class HidetExecutor:
         return fused.module
 
     # -- fused statistics --------------------------------------------------
-
-    def _fused_rule_based_stats(self, group: FusedGroup, spec: GroupSpec) -> KernelStats:
-        """Streaming stats of a fused rule-based kernel: read every outer
-        input once, write the final output once."""
-        task = group.anchor.task
-        total = task.output.num_elements
-        reduces = collect(task.output.value, ReduceCompute)
-        reduce_iters = max((r.num_iterations for r in reduces), default=1)
-        depthwise = task.attrs.get('depthwise', False)
-        # bytes actually touched per input: a gather (embedding) touches at
-        # most one element per output element per reduce iteration, not the
-        # whole table
-        touched_cap = total * reduce_iters
-        read_bytes = float(sum(min(t.nbytes, touched_cap * t.dtype.nbytes)
-                               for t in group.input_tensors()))
-        write_bytes = float(group.output.nbytes)
-        return KernelStats(
-            name=f'{group.name}_rule_based',
-            grid_blocks=max(1, math.ceil(total / ELEMENTWISE_BLOCK)),
-            threads_per_block=ELEMENTWISE_BLOCK,
-            flops=float(total) * (2.0 + 2.0 * (reduce_iters - 1)),
-            gmem_read_bytes=read_bytes * (reduce_iters if depthwise else 1.0),
-            gmem_write_bytes=write_bytes,
-            regs_per_thread=32,
-            ilp=2.0,
-            # rule-based reductions re-walk their window per output element;
-            # without shared-memory reuse the depthwise conv pays for it with
-            # partially-uncoalesced gathers (why Ansor wins MobileNetV2)
-            coalesce_factor=0.55 if depthwise else 1.0,
-            is_memory_bound_hint=True,
-        )
 
     def _adjust_fused_stats(self, stats: KernelStats, spec: GroupSpec) -> KernelStats:
         extra_read, extra_write = self._fusion_traffic(spec)

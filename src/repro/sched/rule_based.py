@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 
-from ..gpusim.stats import KernelStats, OVERLAP_NONE
+from ..gpusim.stats import KernelStats
 from ..ir import FunctionBuilder, IRModule, Var, thread_idx, block_idx
 from ..ir.compute import GridCompute, ReduceCompute, TensorInput
 from ..ir.functor import collect
@@ -66,35 +66,40 @@ def build_rule_based_module(task: Task, name: str | None = None) -> IRModule:
     return IRModule([fb.finish()], name=name)
 
 
-def rule_based_stats(task: Task, name: str | None = None) -> list[KernelStats]:
-    """Kernel statistics of the rule-based schedule of a task.
+def rule_based_stats(task: Task, inputs, output, name: str | None = None) -> KernelStats:
+    """Kernel statistics of the (fused) rule-based kernel of a task.
 
-    Rule-based kernels are memory-bound streaming kernels: every distinct
-    input element is read once and every output element written once; the
-    arithmetic rides along for free unless the reduction is deep.
+    ``inputs`` are the tensors the kernel reads materialized (a fused group's
+    outer inputs; inlined prologues do not appear) and ``output`` is the
+    tensor it writes.  Rule-based kernels are memory-bound streaming kernels:
+    every input is read once and the output written once; the arithmetic
+    rides along for free unless the reduction is deep.
     """
     name = name or task.name
-    out = task.output
-    total = out.num_elements
-    reduces = collect(out.value, ReduceCompute)
+    total = task.output.num_elements
+    reduces = collect(task.output.value, ReduceCompute)
     reduce_iters = max((r.num_iterations for r in reduces), default=1)
-
-    read_bytes = float(sum(inp.num_elements * inp.dtype.nbytes for inp in task.inputs))
-    write_bytes = float(total * out.dtype.nbytes)
-    # ~2 flops per output element per arithmetic node; reductions add an FMA
-    # per iteration
-    flops = float(total) * (2.0 + 2.0 * (reduce_iters - 1))
-
-    return [KernelStats(
+    depthwise = task.attrs.get('depthwise', False)
+    # bytes actually touched per input: a gather (embedding) touches at most
+    # one element per output element per reduce iteration, not the whole table
+    touched_cap = total * reduce_iters
+    read_bytes = float(sum(min(t.nbytes, touched_cap * t.dtype.nbytes)
+                           for t in inputs))
+    write_bytes = float(output.nbytes)
+    return KernelStats(
         name=f'{name}_rule_based',
         grid_blocks=max(1, math.ceil(total / ELEMENTWISE_BLOCK)),
         threads_per_block=ELEMENTWISE_BLOCK,
-        flops=flops,
-        gmem_read_bytes=read_bytes,
+        # ~2 flops per output element per arithmetic node; reductions add an
+        # FMA per iteration
+        flops=float(total) * (2.0 + 2.0 * (reduce_iters - 1)),
+        gmem_read_bytes=read_bytes * (reduce_iters if depthwise else 1.0),
         gmem_write_bytes=write_bytes,
         regs_per_thread=32,
         ilp=2.0,
-        overlap=OVERLAP_NONE,
-        coalesce_factor=task.attrs.get('coalesce_factor', 1.0),
+        # rule-based reductions re-walk their window per output element;
+        # without shared-memory reuse the depthwise conv pays for it with
+        # partially-uncoalesced gathers (why Ansor wins MobileNetV2)
+        coalesce_factor=0.55 if depthwise else 1.0,
         is_memory_bound_hint=True,
-    )]
+    )

@@ -111,47 +111,26 @@ class DynamicBatcher:
     def __init__(self, policy: BatchingPolicy, buckets: dict[str, Sequence[int]]):
         self.policy = policy
         #: model -> compiled bucket ladder it can dispatch to
-        self.buckets = {name: tuple(sorted(ladder))
-                        for name, ladder in buckets.items()}
-        for name, ladder in self.buckets.items():
-            if not ladder:
-                raise ValueError(f'model {name!r} has no compiled buckets')
-            if policy.max_batch > ladder[-1]:
-                raise ValueError(
-                    f'policy max_batch={policy.max_batch} exceeds the largest '
-                    f'compiled bucket ({ladder[-1]}) of model {name!r}')
-        self._queues: dict[str, deque[Request]] = {name: deque()
-                                                   for name in self.buckets}
+        self.buckets: dict[str, tuple[int, ...]] = {}
+        self._queues: dict[str, deque[Request]] = {}
         #: running queued-sample count per model — the dispatch decision
         #: runs after every simulator event, so it must not re-walk a
         #: backlogged queue (that would make overloaded runs quadratic)
-        self._queued_samples: dict[str, int] = {name: 0 for name in self.buckets}
+        self._queued_samples: dict[str, int] = {}
+        for name, ladder in buckets.items():
+            self.add_model(name, ladder)
 
     # -- queueing ------------------------------------------------------------
 
     def _validate(self, request: Request) -> None:
         """Reject malformed input: unknown model, or a request that could
-        never dispatch.  Shared by :meth:`enqueue` and :meth:`offer`."""
+        never dispatch."""
         if request.model not in self._queues:
             raise KeyError(f'model {request.model!r} is not registered')
         if request.size > self.policy.max_batch:
             raise ValueError(
                 f'request {request.req_id} carries {request.size} samples, '
                 f'more than max_batch={self.policy.max_batch}')
-
-    def enqueue(self, request: Request) -> None:
-        """Queue ``request`` unconditionally (no admission check).
-
-        Raises ``KeyError`` for an unregistered model and ``ValueError`` for
-        a request larger than ``max_batch`` (it could never dispatch).  Use
-        :meth:`offer` when the policy's ``max_queue`` bound should apply.
-        """
-        self._validate(request)
-        self._push(request)
-
-    def _push(self, request: Request) -> None:
-        self._queues[request.model].append(request)
-        self._queued_samples[request.model] += request.size
 
     def offer(self, request: Request) -> bool:
         """Admission-controlled enqueue: returns whether ``request`` got in.
@@ -167,7 +146,8 @@ class DynamicBatcher:
         cap = self.policy.max_queue
         if cap is not None and self._queued_samples[request.model] + request.size > cap:
             return False
-        self._push(request)     # validated above: once per arrival
+        self._queues[request.model].append(request)
+        self._queued_samples[request.model] += request.size
         return True
 
     def pending(self, model: Optional[str] = None) -> int:
@@ -192,12 +172,13 @@ class DynamicBatcher:
         return drained
 
     def add_model(self, name: str, ladder: Sequence[int]) -> None:
-        """Start batching for a model registered after construction.
+        """Start batching for a model (the constructor registers its
+        ``buckets`` through here too).
 
         The fleet's re-homing path compiles a model onto a surviving replica
         mid-run; the replica's live batcher then needs a queue and bucket
-        ladder for it.  Validates ``ladder`` exactly as the constructor
-        does; idempotent for an already-known model with the same ladder.
+        ladder for it.  Idempotent for an already-known model with the same
+        ladder.
         """
         ladder = tuple(sorted(ladder))
         if name in self.buckets:

@@ -47,7 +47,7 @@ from .lifecycle import (Autoscaler, AutoscalerConfig, FailureEvent,
                         FailureInjector, available_autoscale_policies,
                         make_autoscale_policy)
 from .placement import available_placements, make_placement
-from .registry import bucket_ladder
+from .registry import model_ladder
 from .trace import Request
 
 __all__ = ['SpecValidationError', 'ModelSpec', 'ReplicaGroupSpec',
@@ -328,9 +328,7 @@ class ModelSpec:
 
     def ladder(self) -> tuple[int, ...]:
         """The compiled bucket ladder this spec asks for."""
-        if self.buckets:
-            return tuple(sorted(set(self.buckets)))
-        return bucket_ladder(self.max_batch)
+        return model_ladder(self.max_batch, self.buckets)
 
 
 @dataclass(frozen=True)
@@ -511,11 +509,6 @@ class DeploymentSpec:
     def initial_replicas(self) -> int:
         """Replica count at trace start (sum over replica groups)."""
         return sum(group.count for group in self.replicas)
-
-    def device_names(self) -> tuple[str, ...]:
-        """One device name per initial replica, group order preserved."""
-        return tuple(group.device for group in self.replicas
-                     for _ in range(group.count))
 
     # -- validation ----------------------------------------------------------
 
@@ -914,9 +907,7 @@ class Deployment:
                 builder = self._builder_for(model)
                 if builder is None:
                     builder = (lambda b, _n=model.name: for_batch(_n, b))
-                ladder = (model.buckets if model.buckets is not None
-                          else bucket_ladder(model.max_batch))
-                for bucket in ladder:
+                for bucket in model.ladder():
                     named_graphs.append((model.name, builder(bucket)))
             factory = ((lambda _d=device: RidgeCostModel(_d))
                        if cache.cost_model else None)

@@ -45,7 +45,7 @@ from .batcher import Batch, BatchingPolicy, DynamicBatcher
 from .lifecycle import Autoscaler, FailureEvent, LifecycleEvent
 from .memory import MemoryModel, footprint_from_graphs, format_bytes
 from .placement import PlacementPolicy, RoundRobinPlacement
-from .registry import ModelRegistry, RegisteredModel, bucket_ladder
+from .registry import ModelRegistry, RegisteredModel, model_ladder
 from .simulator import (BATCH_OVERHEAD_SECONDS, CompletedRequest,
                         DispatchEngine)
 from .stats import ServeStats, compute_stats, format_serving_report
@@ -112,11 +112,6 @@ class _ModelSpec:
     buckets: Optional[Sequence[int]]
     #: declared DRAM reservation; None means "measure from the graphs"
     memory_bytes: Optional[int] = None
-
-    @property
-    def ladder(self) -> tuple[int, ...]:
-        return (tuple(sorted(set(self.buckets))) if self.buckets
-                else bucket_ladder(self.max_batch))
 
 
 class Fleet:
@@ -220,7 +215,8 @@ class Fleet:
                 if builder is None:
                     from ..models import for_batch
                     builder = lambda b, _n=name: for_batch(_n, b)  # noqa: E731
-                graphs = {b: builder(b) for b in spec.ladder}
+                graphs = {b: builder(b)
+                          for b in model_ladder(spec.max_batch, spec.buckets)}
                 self._footprints[name] = footprint_from_graphs(
                     name, graphs).total_bytes
         return self._footprints[name]
@@ -401,10 +397,6 @@ class Fleet:
     def total_compile_seconds(self) -> float:
         """Fleet-wide cold-start tuning bill (sum over replicas)."""
         return sum(r.compile_seconds for r in self.replicas)
-
-    def cache_stats(self) -> dict[str, dict]:
-        """Per-replica schedule-cache counters, keyed by replica label."""
-        return {r.label: r.registry.cache.stats for r in self.replicas}
 
     def decode_simulator(self, model: str, policy=None, *,
                          kv_bytes_per_token: int, seq_length: int,

@@ -31,7 +31,7 @@ from .batcher import smallest_covering_bucket
 from .memory import MemoryModel, ModelFootprint, footprint_from_graphs, \
     graph_tensor_bytes
 
-__all__ = ['ModelRegistry', 'RegisteredModel', 'bucket_ladder']
+__all__ = ['ModelRegistry', 'RegisteredModel', 'bucket_ladder', 'model_ladder']
 
 GraphBuilder = Callable[[int], FlowGraph]
 
@@ -47,6 +47,12 @@ def bucket_ladder(max_batch: int) -> tuple[int, ...]:
         b *= 2
     ladder.append(max_batch)
     return tuple(ladder)
+
+
+def model_ladder(max_batch: int, buckets: Optional[Sequence[int]]) -> tuple[int, ...]:
+    """A model's compiled bucket ladder: the explicit ``buckets`` sorted and
+    de-duplicated, else the power-of-two :func:`bucket_ladder`."""
+    return tuple(sorted(set(buckets))) if buckets else bucket_ladder(max_batch)
 
 
 @dataclass
@@ -214,7 +220,7 @@ class ModelRegistry:
         if builder is None:
             from ..models import for_batch
             builder = lambda b: for_batch(name, b)   # noqa: E731
-        ladder = tuple(sorted(set(buckets))) if buckets else bucket_ladder(max_batch)
+        ladder = model_ladder(max_batch, buckets)
         footprint: Optional[ModelFootprint] = None
         reserved = 0
         compile_builder = builder

@@ -108,15 +108,6 @@ class SimulationResult:
         """
         return compute_stats(self, registry, cold_start_seconds, telemetry)
 
-    @property
-    def gpu_utilization(self) -> float:
-        """Busy fraction of the simulated span (saturation indicator)."""
-        if not self.completions:
-            return 0.0
-        span = (max(c.completion for c in self.completions)
-                - min(c.request.arrival for c in self.completions))
-        return self.busy_seconds / span if span > 0 else 1.0
-
 
 class _DispatchLane(Lane):
     """One replica's dynamic-batching state."""

@@ -49,11 +49,6 @@ class Request:
             raise ValueError('a decode request needs at least one prompt '
                              'token to prefill from')
 
-    @property
-    def is_decode(self) -> bool:
-        """Whether this request is autoregressive-decode traffic."""
-        return self.output_tokens > 0
-
 
 ModelWeights = Union[Sequence[str], Mapping[str, float]]
 

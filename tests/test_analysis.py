@@ -335,17 +335,6 @@ class TestExecutorGate:
         compiled = executor.compile(self._graph())
         assert any(op.module is not None for op in compiled.ops)
 
-    def test_compile_report_counts_rejections(self, monkeypatch):
-        from repro.runtime import HidetExecutor
-        space = _small_space()
-        bad = space[-1]
-        analyzer = ScheduleAnalyzer(builder=poisoned_matmul_builder(bad))
-        executor = HidetExecutor(space=space, try_split_k=False,
-                                 candidate_analyzer=analyzer)
-        compiled = executor.compile(self._graph())
-        assert compiled.compile_report.analysis_checked == len(space)
-        assert compiled.compile_report.analysis_rejected == 1
-
 
 # -- report plumbing ----------------------------------------------------------
 

@@ -115,7 +115,7 @@ class TestExpressionPrecedence:
 
     Random trees over +, -, *, //, % and unary minus are printed and then
     re-evaluated as Python (C's ``/`` on nonnegative ints is Python's
-    ``//``); any parenthesization bug in ``_PRECEDENCE`` changes the value.
+    ``//``); any parenthesization bug in ``BINARY_PRECEDENCE`` changes the value.
     Valuations are filtered so every division/modulo sees a nonnegative
     dividend and positive divisor — where C and Python semantics agree.
     """

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core.schedule import MatmulSchedule
+from repro.core.space import matmul_schedule_space
 from repro.graph import ops, symbol, trace
 from repro.gpusim.device import (A100, LAPTOP_GPU, RTX3090, DeviceSpec,
                                  device_family_key)
@@ -255,9 +256,10 @@ class TestCrossDeviceTransfer:
             donor.compile(tiny_cnn(1))
             return cache
 
-        restricted = HidetExecutor(LAPTOP_GPU, cache=donor_cache(),
-                                   double_buffer=False,
-                                   enable_device_transfer=True)
+        restricted = HidetExecutor(
+            LAPTOP_GPU, cache=donor_cache(),
+            space=matmul_schedule_space(LAPTOP_GPU, double_buffer=False),
+            enable_device_transfer=True)
         assert all(not s.double_buffer for s in restricted.space)
         compiled = restricted.compile(tiny_cnn(1))
         assert compiled.compile_report.device_transfer_hits == 0

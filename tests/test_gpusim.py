@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.gpusim import (A100, RTX3090, KernelStats, ModelParams, PerfModel,
-                          SimulatedClock, TuningCosts, compute_occupancy,
-                          estimate_latency)
+                          SimulatedClock, TuningCosts, compute_occupancy)
 from repro.gpusim.stats import OVERLAP_DOUBLE_BUFFER, OVERLAP_NONE
 
 
@@ -87,11 +86,11 @@ class TestPerfModel:
         tiny = _stats(grid_blocks=1, threads_per_block=32, flops=1.0,
                       gmem_read_bytes=4.0, gmem_write_bytes=4.0,
                       smem_bytes_per_block=0, regs_per_thread=16)
-        assert estimate_latency(tiny) >= RTX3090.kernel_launch_overhead
+        assert PerfModel(RTX3090).latency(tiny) >= RTX3090.kernel_launch_overhead
 
     def test_unlaunchable_raises(self):
         with pytest.raises(ValueError, match='cannot launch'):
-            estimate_latency(_stats(smem_bytes_per_block=64 * 1024))
+            PerfModel(RTX3090).latency(_stats(smem_bytes_per_block=64 * 1024))
 
     def test_ilp_lowers_occupancy_demand(self):
         model = PerfModel(RTX3090)
@@ -101,7 +100,7 @@ class TestPerfModel:
 
     def test_devices_differ(self):
         s = _stats(gmem_read_bytes=5e8)   # memory bound
-        assert estimate_latency(s, A100) < estimate_latency(s, RTX3090)
+        assert PerfModel(A100).latency(s) < PerfModel(RTX3090).latency(s)
 
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     @settings(max_examples=30, deadline=None)

@@ -22,15 +22,15 @@ from repro.analysis.bounds import IntervalEnv, _BoundsChecker
 from repro.analysis.coverage import check_coverage
 from repro.analysis.intervals import AffineForm, Interval
 from repro.analysis.races import _Access, _RaceChecker
-from repro.ir.expr import (BinaryExpr, BlockIndex, Call, Cast, Constant, Expr,
-                           IfThenElse, TensorElement, ThreadIndex, UnaryExpr,
-                           Var, thread_idx, var)
+from repro.ir.expr import (PY_BINARY, PY_UNARY, BinaryExpr, BlockIndex, Call,
+                           Cast, Constant, Expr, IfThenElse, TensorElement,
+                           ThreadIndex, UnaryExpr, Var, thread_idx, var)
 from repro.ir.func import Function
 from repro.ir.functor import IRRewriter, NodeFunctor, collect
 from repro.ir.passes.lower_task_mapping import (_lower_mapping,
                                                 lower_task_mappings)
-from repro.ir.passes.simplify import (_PY_BINARY, _PY_UNARY, Simplifier,
-                                      _is_const, _Range, const_int, simplify)
+from repro.ir.passes.simplify import (Simplifier, _is_const, _Range, const_int,
+                                      simplify)
 from repro.ir.passes.verify import IRVerificationError, _Verifier
 from repro.ir.stmt import (AssignStmt, BarrierStmt, BufferStoreStmt,
                            DeclareStmt, EvaluateStmt, ForStmt, ForTaskStmt,
@@ -140,7 +140,7 @@ class OracleSimplifier(IRRewriter):
         b = self.visit(e.b)
         ca, cb = isinstance(a, Constant), isinstance(b, Constant)
         if ca and cb:
-            result = _PY_BINARY[e.op](a.value, b.value)
+            result = PY_BINARY[e.op](a.value, b.value)
             if e.op in ('<', '<=', '==', '!=', '&&', '||'):
                 return Constant(bool(result), 'bool')
             if e.op == '/':
@@ -213,7 +213,7 @@ class OracleSimplifier(IRRewriter):
         a = self.visit(e.a)
         if isinstance(a, Constant):
             try:
-                result = _PY_UNARY[e.op](a.value)
+                result = PY_UNARY[e.op](a.value)
             except (ValueError, OverflowError):
                 result = None
             if result is not None:

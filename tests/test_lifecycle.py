@@ -661,14 +661,14 @@ class TestFailoverAndSurgery:
 
         batcher = DynamicBatcher(BatchingPolicy(max_batch=4, max_wait=1e-3),
                                  {'a': (1, 2, 4)})
-        batcher.enqueue(Request(1, 'a', 2, 0.002))
-        batcher.enqueue(Request(0, 'a', 1, 0.001))
+        batcher.offer(Request(1, 'a', 2, 0.002))
+        batcher.offer(Request(0, 'a', 1, 0.001))
         drained = batcher.drain()
         assert [r.req_id for r in drained] == [0, 1]  # arrival order
         assert batcher.pending() == 0
         batcher.add_model('b', (1, 4))
         batcher.add_model('b', (1, 4))               # idempotent
-        batcher.enqueue(Request(2, 'b', 1, 0.0))
+        batcher.offer(Request(2, 'b', 1, 0.0))
         assert batcher.pending('b') == 1
         with pytest.raises(ValueError, match='already batched'):
             batcher.add_model('b', (1, 2))

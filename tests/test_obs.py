@@ -14,9 +14,8 @@ from repro.gpusim.device import RTX3090
 from repro.models.common import WeightFactory, conv_bn_relu, linear
 from repro.obs import (LIFECYCLE_TRACK, TERMINAL_KINDS, BenchMetric,
                        BenchResult, Counter, Gauge, Histogram, Measurement,
-                       MetricsRegistry, Telemetry, Tracer, compare,
-                       percentile, percentiles, summarize_latencies)
-from repro.obs.compare import main as compare_main
+                       MetricsRegistry, Telemetry, Tracer, percentile)
+from repro.obs.compare import compare, main as compare_main
 from repro.serve import (BatchingPolicy, FailureEvent, Fleet, FleetSimulator,
                          LeastLoadedPlacement, ModelRegistry, Request,
                          ServerSimulator, poisson_trace)
@@ -49,17 +48,10 @@ class TestPercentiles:
 
     def test_empty_is_nan_not_crash(self):
         assert math.isnan(percentile([], 99))
-        summary = summarize_latencies([])
-        assert all(math.isnan(v) for v in summary.values())
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             percentile([1.0], 101)
-
-    def test_percentiles_plural(self):
-        p50, p99 = percentiles([1.0, 2.0, 3.0], (50, 99))
-        assert p50 == pytest.approx(2.0)
-        assert p99 > p50
 
 
 # ---------------------------------------------------------------------------
@@ -474,3 +466,21 @@ class TestCommittedBaselines:
         res = BenchResult.load(str(path))
         assert res.names()
         assert compare(res, res).ok
+
+    def test_gate_runs_as_module_without_runtime_warning(self):
+        """``python -m repro.obs.compare`` must not find its own module
+        already imported by the package (runpy's RuntimeWarning)."""
+        import os
+        import pathlib
+        import subprocess
+        import sys
+        root = pathlib.Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env['PYTHONPATH'] = (str(root / 'src')
+                             + os.pathsep + env.get('PYTHONPATH', ''))
+        baseline = str(root / 'BENCH_serving.json')
+        proc = subprocess.run(
+            [sys.executable, '-W', 'error::RuntimeWarning', '-m',
+             'repro.obs.compare', baseline, baseline],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr

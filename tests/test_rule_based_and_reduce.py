@@ -4,9 +4,12 @@ import pytest
 
 from repro.backend.interpreter import run_kernel
 from repro.core.schedule import ReduceSchedule
+from repro.graph import symbol
 from repro.ir import max_expr
 from repro.ir.compute import compute, reduce, tensor_input
 from repro.ir.task import Task
+from repro.models import bert_base, mobilenet_v2
+from repro.runtime import HidetExecutor, ScheduleCache
 from repro.sched.lower_compute import ComputeLoweringError
 from repro.sched.reduce_template import (build_reduce_module, is_last_axis_reduction,
                                          reduce_stats)
@@ -82,9 +85,27 @@ class TestRuleBasedReduce:
         a = tensor_input('A', 'float32', [128, 64])
         task = Task('sum', [a],
                     compute('B', [128], lambda i: reduce([64], lambda k: a[i, k])))
-        (stats,) = rule_based_stats(task)
+        stats = rule_based_stats(task, [symbol([128, 64])], symbol([128]))
         assert stats.is_memory_bound_hint
         assert stats.gmem_read_bytes == 128 * 64 * 4
+        assert stats.gmem_write_bytes == 128 * 4
+
+    @pytest.mark.parametrize('build', [
+        # depthwise convs: window re-reads at a reduced coalesce factor
+        lambda: mobilenet_v2(image_size=32),
+        # embedding gathers: reads capped at the touched rows
+        lambda: bert_base(seq_length=8, hidden=16, layers=1, heads=2,
+                          vocab_size=50),
+    ], ids=['mobilenet_v2', 'bert'])
+    def test_compiler_models_rule_based_kernels_with_this_formula(self, build):
+        compiled = HidetExecutor(cache=ScheduleCache()).compile(build())
+        rule_based = [op for op in compiled.ops if op.kind == 'rule_based']
+        assert rule_based
+        for op in rule_based:
+            group = op.group
+            assert op.stats == [rule_based_stats(
+                group.anchor.task, group.input_tensors(), group.output,
+                name=group.name)], op.name
 
 
 class TestReduceTemplate:

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from repro.core.space import matmul_schedule_space
 from repro.graph import from_numpy, ops, symbol, trace
 from repro.models import (bert_base, gpt2, inception_v3, mobilenet_v2, resnet50)
 from repro.models.bert import transformer_encoder_layer
@@ -56,8 +57,8 @@ class TestOptimizePipeline:
 
     def test_double_buffer_toggle(self):
         g, _ = self._small_cnn()
-        db = HidetExecutor(double_buffer=True).compile(g)
-        sb = HidetExecutor(double_buffer=False).compile(g)
+        db = HidetExecutor(space=matmul_schedule_space(double_buffer=True)).compile(g)
+        sb = HidetExecutor(space=matmul_schedule_space(double_buffer=False)).compile(g)
         assert db.latency < sb.latency
 
     def test_benchmark_helper(self):

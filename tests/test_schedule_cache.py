@@ -181,8 +181,10 @@ class TestWarmCompile:
     def test_restricted_space_does_not_consume_full_space_records(self):
         graph = small_cnn()
         cache = ScheduleCache()
-        HidetExecutor(cache=cache, double_buffer=True).compile(graph)
-        sb = HidetExecutor(cache=cache, double_buffer=False).compile(graph)
+        HidetExecutor(cache=cache).compile(graph)
+        sb = HidetExecutor(cache=cache,
+                           space=matmul_schedule_space(double_buffer=False)
+                           ).compile(graph)
         # different space fingerprint -> cold for the matmul groups
         assert sb.tuning_seconds > 0
 
