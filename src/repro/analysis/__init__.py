@@ -18,7 +18,6 @@ compile gate with three checks:
 templates and the model zoo from the command line.
 """
 from .report import AnalysisError, AnalysisReport, Finding
-from .intervals import Interval, expr_key
 from .coverage import CoverageReport, check_coverage
 from .bounds import check_bounds
 from .races import check_races
@@ -26,7 +25,6 @@ from .analyzer import ScheduleAnalyzer, analyze_function, analyze_module
 
 __all__ = [
     'AnalysisError', 'AnalysisReport', 'Finding',
-    'Interval', 'expr_key',
     'CoverageReport', 'check_coverage',
     'check_bounds', 'check_races',
     'ScheduleAnalyzer', 'analyze_function', 'analyze_module',

@@ -4,7 +4,7 @@
 well-formedness pass (unlowered), coverage for every ``ForTaskStmt``
 mapping, the shared-memory race detector (on the unlowered body, where the
 worker→task relation is still visible), then lowers the function exactly
-as codegen does (``lower_task_mappings`` + ``simplify``), re-verifies the
+as codegen does (:func:`repro.ir.passes.lower`), re-verifies the
 lowered form, and bounds-checks every access.
 
 :class:`ScheduleAnalyzer` adapts the module analyzer into the candidate
@@ -17,9 +17,7 @@ from typing import Optional
 
 from ..ir.func import Function, IRModule
 from ..ir.functor import collect_stmts
-from ..ir.passes.lower_task_mapping import lower_task_mappings
-from ..ir.passes.simplify import simplify
-from ..ir.passes.verify import IRVerificationError, verify_function
+from ..ir.passes import IRVerificationError, lower, verify_function
 from ..ir.stmt import ForTaskStmt
 from .bounds import check_bounds
 from .coverage import check_coverage
@@ -57,7 +55,7 @@ def analyze_function(func: Function,
 
     check_races(func, report)
 
-    lowered = simplify(lower_task_mappings(func))
+    lowered = lower(func)
     try:
         verify_function(lowered, lowered=True)
     except IRVerificationError as exc:

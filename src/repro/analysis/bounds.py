@@ -1,12 +1,12 @@
 """Bounds checking: every buffer access stays inside its declared shape.
 
-The checker runs on the *lowered* function (``lower_task_mappings`` +
-``simplify`` — the exact IR codegen prints), walks every statement with an
-:class:`IntervalEnv` tracking symbolic ranges for loop variables, thread /
-block indices and scalar declares, and learns *guard facts* from ``IfStmt``
-conditions and predicated ``IfThenElse`` loads: inside ``if gi < m`` the
-structural key of ``gi`` is capped at ``m - 1``, which is how the
-templates' predicated tails are proven safe.
+The checker runs on the *lowered* function (:func:`repro.ir.passes.lower`,
+the exact IR codegen prints), walks every statement with an
+:class:`~repro.ir.intervals.IntervalEnv` tracking symbolic ranges for loop
+variables, thread / block indices and scalar declares, and learns *guard
+facts* from ``IfStmt`` conditions and predicated ``IfThenElse`` loads:
+inside ``if gi < m`` the structural key of ``gi`` is capped at ``m - 1``,
+which is how the templates' predicated tails are proven safe.
 
 Index expressions that read memory themselves (e.g. an embedding gather
 ``table[ids[s], h]``) are data-dependent: the analyzer reports a non-gating
@@ -16,162 +16,16 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..ir.expr import (BinaryExpr, BlockIndex, Call, Cast, Constant, Expr,
-                       IfThenElse, TensorElement, ThreadIndex, UnaryExpr, Var)
+from ..ir.expr import (BinaryExpr, Call, Cast, Expr, IfThenElse, TensorElement,
+                       UnaryExpr, Var)
 from ..ir.func import Function
 from ..ir.functor import collect_stmts, contains
+from ..ir.intervals import Interval, IntervalEnv
 from ..ir.stmt import (AssignStmt, BarrierStmt, BufferStoreStmt, DeclareStmt,
                        EvaluateStmt, ForStmt, ForTaskStmt, IfStmt, LetStmt,
                        SeqStmt, Stmt)
 from ..ir.types import DataType, TensorType
-from .intervals import Interval, expr_key
 from .report import AnalysisReport, Finding
-
-
-def _const_int(e: Expr) -> Optional[int]:
-    if isinstance(e, Constant) and isinstance(e.value, (int, bool)):
-        return int(e.value)
-    return None
-
-
-def _dim_extent(dims, axis: str) -> int:
-    return dims['xyz'.index(axis)]
-
-
-class IntervalEnv:
-    """Symbolic ranges for variables plus guard facts on expression keys.
-
-    An env and every env derived from it share one :func:`expr_key` memo,
-    so a walk keys each distinct expression node once.
-    """
-
-    def __init__(self, thread_dims, block_dims, reassigned=frozenset(),
-                 keys: Optional[dict] = None):
-        self.thread_dims = tuple(thread_dims)
-        self.block_dims = tuple(block_dims)
-        self.reassigned = reassigned
-        self.keys = {} if keys is None else keys   # the expr_key memo
-        self.vars: dict = {}      # var _id -> Interval
-        self.facts: dict = {}     # expr_key -> Interval
-
-    def key(self, e: Expr):
-        return expr_key(e, self.keys)
-
-    def child(self) -> 'IntervalEnv':
-        env = IntervalEnv(self.thread_dims, self.block_dims, self.reassigned,
-                          self.keys)
-        env.vars = dict(self.vars)
-        env.facts = dict(self.facts)
-        return env
-
-    def bind(self, var: Var, interval: Interval):
-        self.vars[var._id] = interval
-
-    # -- evaluation -------------------------------------------------------
-    def interval_of(self, e: Expr) -> Interval:
-        iv = self._raw(e)
-        if self.facts:
-            fact = self.facts.get(self.key(e))
-            if fact is not None:
-                iv = iv.intersect(fact)
-        return iv
-
-    def _raw(self, e: Expr) -> Interval:
-        if isinstance(e, Constant):
-            if isinstance(e.value, bool):
-                return Interval(0, 1)
-            if isinstance(e.value, int):
-                return Interval.point(e.value)
-            return Interval.unknown()
-        if isinstance(e, Var):
-            return self.vars.get(e._id, Interval.unknown())
-        if isinstance(e, ThreadIndex):
-            return Interval(0, _dim_extent(self.thread_dims, e.dim) - 1)
-        if isinstance(e, BlockIndex):
-            return Interval(0, _dim_extent(self.block_dims, e.dim) - 1)
-        if isinstance(e, BinaryExpr):
-            op = e.op
-            if op in ('<', '<=', '==', '!=', '&&', '||'):
-                return Interval(0, 1)
-            a, b = self.interval_of(e.a), self.interval_of(e.b)
-            if op == '+':
-                return a + b
-            if op == '-':
-                return a - b
-            if op == '*':
-                return a * b
-            if op in ('//', '/'):
-                return a // b
-            if op == '%':
-                return a % b
-            if op == 'min':
-                return a.min_with(b)
-            if op == 'max':
-                return a.max_with(b)
-            return Interval.unknown()
-        if isinstance(e, UnaryExpr):
-            if e.op == '-':
-                return -self.interval_of(e.a)
-            if e.op == '!':
-                return Interval(0, 1)
-            return Interval.unknown()
-        if isinstance(e, Cast):
-            if isinstance(e.dtype, DataType) and e.dtype.is_integer:
-                return self.interval_of(e.expr)
-            return Interval.unknown()
-        if isinstance(e, IfThenElse):
-            then = self.assume(e.cond).interval_of(e.then_expr)
-            other = self.assume(e.cond, negate=True).interval_of(e.else_expr)
-            return then.union(other)
-        return Interval.unknown()
-
-    # -- guard facts ------------------------------------------------------
-    def assume(self, cond: Expr, negate: bool = False) -> 'IntervalEnv':
-        env = self.child()
-        env._apply(cond, negate)
-        return env
-
-    def _apply(self, cond: Expr, negate: bool):
-        if isinstance(cond, UnaryExpr) and cond.op == '!':
-            self._apply(cond.a, not negate)
-            return
-        if not isinstance(cond, BinaryExpr):
-            return
-        op = cond.op
-        if op == '&&' and not negate:
-            self._apply(cond.a, False)
-            self._apply(cond.b, False)
-            return
-        if op == '||' and negate:
-            self._apply(cond.a, True)
-            self._apply(cond.b, True)
-            return
-        if op in ('<', '<='):
-            if negate:
-                # !(a < b)  ==  b <= a;   !(a <= b)  ==  b < a
-                a, b = cond.b, cond.a
-                op = '<=' if op == '<' else '<'
-            else:
-                a, b = cond.a, cond.b
-            delta = 1 if op == '<' else 0
-            ia, ib = self.interval_of(a), self.interval_of(b)
-            if ib.hi is not None:
-                self._cap(a, hi=ib.hi - delta)
-            if ia.lo is not None:
-                self._cap(b, lo=ia.lo + delta)
-            return
-        if (op == '==' and not negate) or (op == '!=' and negate):
-            ia, ib = self.interval_of(cond.a), self.interval_of(cond.b)
-            self._cap(cond.a, lo=ib.lo, hi=ib.hi)
-            self._cap(cond.b, lo=ia.lo, hi=ia.hi)
-
-    def _cap(self, e: Expr, lo: Optional[int] = None, hi: Optional[int] = None):
-        key = self.key(e)
-        cur = self.facts.get(key, Interval.unknown())
-        self.facts[key] = cur.intersect(Interval(lo, hi))
-        # a capped Var also tightens its binding-independent fact lookups
-        if isinstance(e, Var) and e._id in self.vars:
-            self.vars[e._id] = self.vars[e._id].intersect(Interval(lo, hi))
 
 
 class _BoundsChecker:

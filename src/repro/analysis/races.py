@@ -53,13 +53,13 @@ from ..ir.expr import (BinaryExpr, BlockIndex, Call, Cast, Constant, Expr,
                        IfThenElse, TensorElement, ThreadIndex, UnaryExpr, Var)
 from ..ir.func import Function
 from ..ir.functor import collect, collect_stmts, contains
+from ..ir.intervals import Interval, IntervalEnv, expr_key
 from ..ir.stmt import (AssignStmt, BarrierStmt, BufferStoreStmt, DeclareStmt,
                        EvaluateStmt, ForStmt, ForTaskStmt, IfStmt, LetStmt,
                        SeqStmt, Stmt)
 from ..ir.types import DataType, MemoryScope, TensorType
-from .bounds import IntervalEnv
 from .coverage import check_coverage
-from .intervals import AffineForm, Interval, expr_key
+from .intervals import AffineForm
 from .report import AnalysisReport, Finding
 
 

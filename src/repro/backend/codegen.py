@@ -15,10 +15,9 @@ from ..ir.func import Function, IRModule
 from ..ir.stmt import (AssignStmt, BarrierStmt, BufferStoreStmt, DeclareStmt,
                        EvaluateStmt, ForStmt, ForTaskStmt, IfStmt, LetStmt,
                        SeqStmt, Stmt)
-from ..ir.types import DataType, TensorType, MemoryScope
+from ..ir.types import TensorType, MemoryScope
 from ..ir.primitives import PRIMITIVES
-from ..ir.passes.lower_task_mapping import lower_task_mappings
-from ..ir.passes.simplify import simplify
+from ..ir.passes import lower
 
 __all__ = ['generate_cuda', 'generate_cuda_module']
 
@@ -196,14 +195,10 @@ class CudaCodegen:
         self.line('}')
 
 
-def _prepare(func: Function) -> Function:
-    return simplify(lower_task_mappings(func))
-
-
 def generate_cuda(func: Function) -> str:
     """Emit CUDA C source for one kernel (lowering it first if needed)."""
     gen = CudaCodegen()
-    gen.func(_prepare(func))
+    gen.func(lower(func))
     return gen.source()
 
 
@@ -213,6 +208,6 @@ def generate_cuda_module(module: IRModule) -> str:
     gen.line('#include <cuda_runtime.h>')
     gen.line()
     for f in module:
-        gen.func(_prepare(f))
+        gen.func(lower(f))
         gen.line()
     return gen.source()

@@ -16,10 +16,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from .loop_tuner import LoopOrientedTuner
-from .tiling import TileConfig, divisors
+from .tiling import TileConfig
 from ..gpusim.clock import TuningCosts
 
 __all__ = ['Ansor']

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from .loop_tuner import LoopOrientedTuner
 from .tiling import TileConfig, divisors, iter_tile_configs
 from ..gpusim.clock import TuningCosts

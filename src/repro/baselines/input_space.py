@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .tiling import factor_splits_count
-from ..graph.flow_graph import FlowGraph
-from ..graph.ops.conv import Conv2dOp
 
 __all__ = ['ConvWorkload', 'autotvm_conv_space_size', 'resnet50_conv_workloads']
 

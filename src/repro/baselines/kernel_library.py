@@ -14,8 +14,6 @@ We model that as:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 from .tiling import TileConfig, tiled_matmul_stats, contraction_dims_of_conv
 from ..gpusim.device import DeviceSpec, RTX3090

@@ -21,16 +21,15 @@ of §3.3 ("only tile n-length loops with proper factors of n").
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..ir import (BlockIndex, Expr, Function, Stmt, ThreadIndex, Var, convert,
                   substitute, var as make_var)
 from ..ir.builders import FunctionBuilder
-from ..ir.compute import GridCompute, ReduceCompute, TensorInput
+from ..ir.compute import ReduceCompute, TensorInput
 from ..ir.functor import collect
-from ..ir.stmt import BufferStoreStmt, DeclareStmt, ForStmt, AssignStmt, SeqStmt, seq_stmt
+from ..ir.stmt import BufferStoreStmt, ForStmt
 from ..ir.task import Task
 from ..sched.lower_compute import lower_compute_expr
 

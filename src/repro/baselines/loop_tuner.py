@@ -23,7 +23,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .base import ExecutorReport
-from .kernel_library import KernelLibrary
 from .tiling import TileConfig, iter_tile_configs, tiled_matmul_stats, contraction_dims_of_conv
 from ..graph.flow_graph import FlowGraph
 from ..graph.ops.conv import Conv2dOp
@@ -32,7 +31,6 @@ from ..graph.passes import fold_constants, partition_graph
 from ..graph.passes.fuse_partition import FusedGroup
 from ..gpusim.clock import SimulatedClock, TuningCosts
 from ..gpusim.device import DeviceSpec, RTX3090
-from ..gpusim.perfmodel import PerfModel
 from ..gpusim.stats import KernelStats
 from .frameworks import LibraryBackedExecutor
 

@@ -16,10 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator
 
+from ..gpusim.arith import SCALAR
 from ..gpusim.device import DeviceSpec, RTX3090
 from ..gpusim.stats import KernelStats, OVERLAP_DOUBLE_BUFFER, OVERLAP_NONE
+from ..sched.matmul_template import matmul_work_terms
 
 __all__ = ['TileConfig', 'divisors', 'factor_splits_count', 'iter_tile_configs',
            'tiled_matmul_stats', 'contraction_dims_of_conv']
@@ -131,38 +133,24 @@ def tiled_matmul_stats(m: int, n: int, k: int, config: TileConfig, name: str,
                        device: DeviceSpec = RTX3090) -> KernelStats:
     """Kernel statistics of a tiled m×n×k contraction under ``config``.
 
-    Uses the same traffic/L2 model as the Hidet template so comparisons are
-    apples-to-apples; the differences are purely the schedule's knobs (tile
-    legality, overlap, ILP).
+    Evaluates the Hidet template's work terms (no split-k, one ``tm + tn``
+    fragment per thread) so comparisons are apples-to-apples; the
+    differences are purely the schedule's knobs (tile legality, overlap,
+    ILP).
     """
-    gx = math.ceil(n / config.bn)
-    gy = math.ceil(m / config.bm)
-    k_tiles = math.ceil(k / config.bk)
-    blocks = gx * gy * batch
-
-    flops = 2.0 * blocks * config.bm * config.bn * k_tiles * config.bk
-    l2_budget = device.l2_cache_bytes * 0.6
-    reads_a = float(blocks) * config.bm * config.bk * k_tiles * 4
-    reads_b = float(blocks) * config.bk * config.bn * k_tiles * 4
-    unique_a = float(gy * config.bm) * k_tiles * config.bk * 4 * batch
-    unique_b = float(gx * config.bn) * k_tiles * config.bk * 4 * batch
-    if unique_a <= l2_budget:
-        reads_a = unique_a
-    if unique_b <= l2_budget:
-        reads_b = unique_b
-
     threads = config.threads
-    smem_read = float(blocks) * k_tiles * threads * (config.tm + config.tn) * config.bk * 4
-    smem_traffic = smem_read + float(blocks) * (config.bm + config.bn) * config.bk * 4 * k_tiles
-
+    blocks, flops, gmem_read, gmem_write, smem_traffic, _ = matmul_work_terms(
+        SCALAR, m, n, k, config.bm, config.bn, config.bk, 1, threads,
+        config.tm + config.tn, batch, device.l2_cache_bytes,
+        extra_read_bytes, extra_write_bytes)
     stages = 2 if double_buffer else 1
     return KernelStats(
         name=name,
         grid_blocks=blocks,
         threads_per_block=threads,
         flops=flops,
-        gmem_read_bytes=reads_a + reads_b + extra_read_bytes,
-        gmem_write_bytes=float(gx * config.bn * gy * config.bm * 4 * batch) + extra_write_bytes,
+        gmem_read_bytes=gmem_read,
+        gmem_write_bytes=gmem_write,
         smem_bytes_per_block=config.smem_bytes * stages,
         regs_per_thread=config.regs_per_thread + (
             (config.bm + config.bn) * config.bk // max(1, threads) if double_buffer else 0),

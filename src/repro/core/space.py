@@ -14,8 +14,6 @@ extents (Figure 19).
 """
 from __future__ import annotations
 
-from typing import Iterator
-
 from .schedule import MatmulSchedule, ReduceSchedule
 from ..gpusim.device import DeviceSpec, RTX3090
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence, Union
 
-from ..ir.expr import Expr, ExprLike, convert
+from ..ir.expr import Expr
 
 __all__ = [
     'TaskMapping', 'RepeatTaskMapping', 'SpatialTaskMapping',

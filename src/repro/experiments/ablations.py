@@ -11,10 +11,9 @@ mechanism the paper credits for Hidet's performance:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..baselines import Ansor
-from ..core.schedule import MatmulSchedule
 from ..core.space import matmul_schedule_space
 from ..core.tuning import MatmulTuner
 from ..graph.flow_graph import FlowGraph

@@ -7,8 +7,7 @@ benchmarks and tests consume the same code path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 

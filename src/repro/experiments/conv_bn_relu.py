@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .common import all_reports
 from ..baselines.input_space import ConvWorkload, resnet50_conv_workloads
-from ..graph import ops, symbol, trace
+from ..graph import symbol, trace
 from ..models.common import WeightFactory, conv_bn_relu
 
 __all__ = ['run_conv_bn_relu', 'format_conv_bn_relu']

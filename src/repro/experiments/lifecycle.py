@@ -28,8 +28,6 @@ import tempfile
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-import numpy as np
-
 from ..gpusim.device import LAPTOP_GPU, RTX3090, DeviceSpec
 from ..obs import Telemetry, percentile
 from ..serve import (AutoscaleSpec, BatchingSpec, CacheSpec, Deployment,

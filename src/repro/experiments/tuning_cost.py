@@ -28,7 +28,7 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .common import MODEL_BUILDERS, geomean, run_executor
+from .common import MODEL_BUILDERS, run_executor
 from ..gpusim.clock import SimulatedClock
 from ..gpusim.device import DeviceSpec, RTX3090
 from ..runtime import HidetExecutor, ScheduleCache

@@ -7,7 +7,7 @@ modeled by dividing batch compile time by the worker count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ['SimulatedClock', 'TuningCosts']
 

@@ -8,7 +8,7 @@ provided, used by ablation benchmarks).
 """
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
 from functools import cached_property
 
 __all__ = ['DeviceSpec', 'device_family_key', 'RTX3090', 'A100', 'LAPTOP_GPU']

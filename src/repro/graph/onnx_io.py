@@ -16,13 +16,9 @@ import numpy as np
 from .flow_graph import FlowGraph
 from .tensor import Tensor
 from . import ops as _ops
-from .ops.conv import Conv2dOp, Im2colOp
-from .ops.matmul import BatchMatmulOp, MatmulOp
-from .ops.pool import GlobalAvgPoolOp, Pool2dOp
+from .ops.conv import Im2colOp
+from .ops.pool import Pool2dOp
 from .ops.reduce import ReduceLastAxisOp
-from .ops.transforms import ConcatOp, PadOp, ReshapeOp, TransposeOp
-from .ops.embedding import EmbeddingOp
-from .ops.arithmetic import BinaryElementwiseOp, UnaryElementwiseOp
 
 __all__ = ['save_graph', 'load_graph', 'graph_to_dict', 'graph_from_dict']
 

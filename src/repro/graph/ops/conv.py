@@ -16,16 +16,13 @@ sizes come from the weight shape.
 """
 from __future__ import annotations
 
-import math
-from typing import Sequence
-
 import numpy as np
 
 from ..operator import Operator
 from ..tensor import Tensor
 from ...ir.compute import compute, reduce, tensor_input
 from ...ir.expr import if_then_else, logical_and
-from ...ir.task import InverseMap, Task
+from ...ir.task import Task
 
 __all__ = ['Conv2dOp', 'Im2colOp', 'conv2d', 'conv2d_numpy', 'conv2d_output_shape']
 

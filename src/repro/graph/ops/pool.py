@@ -1,8 +1,6 @@
 """Pooling operators (max / average / global average)."""
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..operator import Operator

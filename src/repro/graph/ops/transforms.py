@@ -15,7 +15,7 @@ import numpy as np
 from ..operator import Operator
 from ..tensor import Tensor
 from ...ir.compute import compute, tensor_input
-from ...ir.expr import Expr, IfThenElse, convert, if_then_else, logical_and
+from ...ir.expr import convert, if_then_else, logical_and
 from ...ir.task import InverseMap, Task
 
 __all__ = ['ReshapeOp', 'TransposeOp', 'ConcatOp', 'PadOp',

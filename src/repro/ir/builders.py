@@ -19,13 +19,12 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Optional, Sequence
 
-from .expr import (Expr, ExprLike, Var, convert, var as make_var, tensor_var,
+from .expr import (ExprLike, Var, convert, var as make_var, tensor_var,
                    thread_idx, block_idx)
 from .func import Function
 from .stmt import (Stmt, DeclareStmt, BufferStoreStmt, AssignStmt, ForStmt,
-                   ForTaskStmt, IfStmt, SeqStmt, BarrierStmt, EvaluateStmt,
-                   LetStmt, seq_stmt)
-from .types import DataType, TensorType, MemoryScope, data_type
+                   ForTaskStmt, IfStmt, BarrierStmt, EvaluateStmt, seq_stmt)
+from .types import DataType, MemoryScope, data_type
 
 __all__ = ['FunctionBuilder']
 

@@ -10,7 +10,7 @@ so programs read like the pseudo-code in the paper::
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from .types import DataType, TensorType, data_type, i32, boolean
 

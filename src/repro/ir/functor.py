@@ -18,7 +18,7 @@ from typing import Callable, Type
 
 from .expr import (Expr, Var, Constant, BinaryExpr, UnaryExpr, Cast, TensorElement,
                    IfThenElse, Call, ThreadIndex, BlockIndex)
-from .stmt import (Stmt, DeclareStmt, BufferStoreStmt, AssignStmt, LetStmt, ForStmt,
+from .stmt import (DeclareStmt, BufferStoreStmt, AssignStmt, LetStmt, ForStmt,
                    ForTaskStmt, IfStmt, SeqStmt, BarrierStmt, EvaluateStmt)
 
 __all__ = ['IRVisitor', 'IRRewriter', 'MemoRewriter', 'collect', 'collect_stmts',

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ..expr import Expr, Var, convert, var as make_var
+from ..expr import Expr, convert, var as make_var
 from ..functor import IRRewriter
-from ..stmt import ForStmt, ForTaskStmt, SeqStmt, Stmt, seq_stmt
+from ..stmt import ForStmt, ForTaskStmt, Stmt, seq_stmt
 from ..tools import substitute
 from ...core.taskmap import (TaskMapping, RepeatTaskMapping, SpatialTaskMapping,
                              ComposedTaskMapping, CustomTaskMapping)

@@ -12,8 +12,9 @@ interpreter.  Rules are standard and conservative:
 * ``if`` with constant condition; selects with constant condition;
 * ``&&``/``||`` with constant operands.
 
-Bounds are tracked for loop variables and for spatial de-linearization
-patterns (``expr % m`` has range ``[0, m)``).
+Ranges come from the :class:`~repro.ir.intervals.IntervalEnv` the
+analyzer uses too: loop variables, launch dimensions and spatial
+de-linearization patterns (``expr % m`` lies in ``[0, m - 1]``).
 
 Lowering shares index sub-trees, so one pass rewrites, and ranges, each
 distinct expression object once (:class:`~repro.ir.functor.MemoRewriter`).
@@ -24,11 +25,11 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..expr import (Expr, Var, Constant, BinaryExpr, UnaryExpr, Cast, TensorElement,
-                    IfThenElse, Call, ThreadIndex, BlockIndex, PY_BINARY, PY_UNARY,
-                    convert)
+from ..expr import (Expr, Var, Constant, BinaryExpr, UnaryExpr, IfThenElse,
+                    PY_BINARY, PY_UNARY)
 from ..functor import MemoRewriter, collect_stmts
-from ..stmt import AssignStmt, DeclareStmt, ForStmt, IfStmt, SeqStmt, Stmt
+from ..intervals import Interval, IntervalEnv
+from ..stmt import AssignStmt, DeclareStmt, ForStmt, IfStmt, SeqStmt
 
 __all__ = ['simplify', 'const_int']
 
@@ -43,20 +44,6 @@ def _is_const(e: Expr, value) -> bool:
     return isinstance(e, Constant) and e.value == value
 
 
-class _Range:
-    """Half-open integer range [low, high) or unknown (None bounds)."""
-
-    __slots__ = ('low', 'high')
-
-    def __init__(self, low: Optional[int], high: Optional[int]):
-        self.low = low
-        self.high = high
-
-    @property
-    def known(self) -> bool:
-        return self.low is not None and self.high is not None
-
-
 class Simplifier(MemoRewriter):
     # every rule returns a node no rule rewrites further under the same facts
     idempotent = True
@@ -65,74 +52,18 @@ class Simplifier(MemoRewriter):
                  block_dims: Optional[tuple[int, int, int]] = None,
                  reassigned_vars: Optional[set[int]] = None):
         super().__init__()
-        self._ranges: dict[int, _Range] = {}  # var id -> range
-        self._thread_dims = thread_dims
-        self._block_dims = block_dims
-        self._reassigned = reassigned_vars or set()
+        self.env = IntervalEnv(thread_dims, block_dims, reassigned_vars or set())
         self._const_vars: dict[int, Constant] = {}  # constant, never-reassigned declarations
-        self._range_memo: dict[int, tuple] = {}    # id(expr) -> (expr, range)
-        self._read: set[int] = set()    # var ids looked up since the last forget
+        self._read: set[int] = set()    # var ids rewritten since the last forget
 
     def forget(self):
         super().forget()
-        self._range_memo.clear()
         self._read.clear()
-
-    def _bind_range(self, var: Var, r: _Range):
-        old = self._ranges.get(var._id)
-        if var._id in self._read and (old is None or (old.low, old.high) != (r.low, r.high)):
-            self.forget()
-        self._ranges[var._id] = r
 
     def _bind_const(self, var: Var, value: Constant):
         if var._id in self._read and self._const_vars.get(var._id) is not value:
             self.forget()
         self._const_vars[var._id] = value
-
-    # ---- range analysis --------------------------------------------------
-
-    def range_of(self, e: Expr) -> _Range:
-        hit = self._range_memo.get(id(e))
-        if hit is not None:
-            return hit[1]
-        r = self._range_of(e)
-        self._range_memo[id(e)] = (e, r)
-        return r
-
-    def _range_of(self, e: Expr) -> _Range:
-        if isinstance(e, Constant):
-            v = const_int(e)
-            if v is not None:
-                return _Range(v, v + 1)
-        if isinstance(e, ThreadIndex) and self._thread_dims is not None:
-            return _Range(0, self._thread_dims['xyz'.index(e.dim)])
-        if isinstance(e, BlockIndex) and self._block_dims is not None:
-            return _Range(0, self._block_dims['xyz'.index(e.dim)])
-        if isinstance(e, Var):
-            self._read.add(e._id)
-            return self._ranges.get(e._id, _Range(None, None))
-        if isinstance(e, BinaryExpr):
-            ra, rb = self.range_of(e.a), self.range_of(e.b)
-            if e.op == '%':
-                m = const_int(e.b)
-                if m is not None and m > 0:
-                    if ra.known and ra.low >= 0 and ra.high <= m:
-                        return ra  # modulo is a no-op; handled by rewrite too
-                    return _Range(0, m)
-            if not (ra.known and rb.known):
-                return _Range(None, None)
-            if e.op == '+':
-                return _Range(ra.low + rb.low, ra.high + rb.high - 1)
-            if e.op == '-':
-                return _Range(ra.low - (rb.high - 1), ra.high - rb.low)
-            if e.op == '*':
-                corners = [a * b for a in (ra.low, ra.high - 1) for b in (rb.low, rb.high - 1)]
-                return _Range(min(corners), max(corners) + 1)
-            if e.op == '//':
-                if rb.low is not None and rb.low > 0:
-                    corners = [a // b for a in (ra.low, ra.high - 1) for b in (rb.low, rb.high - 1)]
-                    return _Range(min(corners), max(corners) + 1)
-        return _Range(None, None)
 
     # ---- expressions --------------------------------------------------------
 
@@ -166,18 +97,14 @@ class Simplifier(MemoRewriter):
             if _is_const(b, 1):
                 return a
             d = const_int(b)
-            if d is not None and d > 0:
-                ra = self.range_of(a)
-                if ra.known and 0 <= ra.low and ra.high <= d:
-                    return Constant(0, 'int32')
+            if d is not None and d > 0 and self.env.interval_of(a).within(0, d - 1):
+                return Constant(0, 'int32')
         elif e.op == '%':
             if _is_const(b, 1):
                 return Constant(0, 'int32')
             m = const_int(b)
-            if m is not None and m > 0:
-                ra = self.range_of(a)
-                if ra.known and 0 <= ra.low and ra.high <= m:
-                    return a
+            if m is not None and m > 0 and self.env.interval_of(a).within(0, m - 1):
+                return a
         elif e.op == '&&':
             if _is_const(a, True):
                 return b
@@ -194,18 +121,13 @@ class Simplifier(MemoRewriter):
                 return Constant(True, 'bool')
         elif e.op in ('<', '<='):
             # prove bounds comparisons from ranges (drops redundant predicates)
-            ra, rb = self.range_of(a), self.range_of(b)
-            if ra.known and rb.known:
-                if e.op == '<':
-                    if ra.high - 1 < rb.low:
-                        return Constant(True, 'bool')
-                    if ra.low >= rb.high - 1 + 1:
-                        return Constant(False, 'bool')
-                else:
-                    if ra.high - 1 <= rb.low:
-                        return Constant(True, 'bool')
-                    if ra.low > rb.high - 1:
-                        return Constant(False, 'bool')
+            ia, ib = self.env.interval_of(a), self.env.interval_of(b)
+            if ia.known and ib.known:
+                strict = e.op == '<'
+                if ia.hi < ib.lo or (not strict and ia.hi == ib.lo):
+                    return Constant(True, 'bool')
+                if ib.hi < ia.lo or (strict and ib.hi == ia.lo):
+                    return Constant(False, 'bool')
         if a is e.a and b is e.b:
             return e
         return BinaryExpr(e.op, a, b)
@@ -238,21 +160,17 @@ class Simplifier(MemoRewriter):
         return self._const_vars.get(e._id, e)
 
     def visit_ThreadIndex(self, e):
-        if self._thread_dims is not None and self._thread_dims['xyz'.index(e.dim)] == 1:
-            return Constant(0, 'int32')
-        return e
+        # an index over a launch dimension of 1 is always 0
+        return Constant(0, 'int32') if self.env.interval_of(e).is_point else e
 
-    def visit_BlockIndex(self, e):
-        if self._block_dims is not None and self._block_dims['xyz'.index(e.dim)] == 1:
-            return Constant(0, 'int32')
-        return e
+    visit_BlockIndex = visit_ThreadIndex
 
     # ---- statements -----------------------------------------------------------
 
     def visit_DeclareStmt(self, s):
         init = self.visit(s.init) if s.init is not None else None
         if (init is not None and isinstance(init, Constant)
-                and s.var._id not in self._reassigned):
+                and s.var._id not in self.env.reassigned):
             self._bind_const(s.var, init)
         if init is s.init:
             return s
@@ -264,7 +182,8 @@ class Simplifier(MemoRewriter):
         if n is not None:
             if n == 0:
                 return SeqStmt(())
-            self._bind_range(s.loop_var, _Range(0, n))
+            if self.env.bind(s.loop_var, Interval(0, n - 1)):
+                self.forget()
         body = self.visit(s.body)
         if n == 1:
             from ..tools import substitute

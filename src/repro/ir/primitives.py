@@ -5,7 +5,7 @@ primitive records its CUDA spelling for codegen.
 """
 from __future__ import annotations
 
-from .expr import Call, Expr, ExprLike, Var, convert
+from .expr import Call, ExprLike, Var, convert
 
 __all__ = ['PRIMITIVES', 'atomic_add', 'fma', 'shfl_down', 'shfl_xor']
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from ..graph import FlowGraph, from_numpy, ops, symbol, trace
 from .bert import transformer_encoder_layer
-from .common import WeightFactory, linear
+from .common import WeightFactory
 
 __all__ = ['gpt2', 'gpt2_kv_bytes_per_token']
 

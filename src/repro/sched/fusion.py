@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 from ..ir import Function, IRModule, Var, tensor_var
 from ..ir.compute import GridCompute, TensorInput
 from ..ir.expr import Expr, TensorElement
-from ..ir.functor import IRRewriter, IRVisitor, collect
+from ..ir.functor import IRRewriter, IRVisitor
 from ..ir.stmt import BufferStoreStmt
 from ..ir.task import Task
 from ..ir.tools import substitute

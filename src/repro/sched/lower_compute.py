@@ -13,8 +13,6 @@ Scheduling (rule-based or fusion) must turn a compute value like
 """
 from __future__ import annotations
 
-from typing import Callable, Sequence
-
 from ..ir.builders import FunctionBuilder
 from ..ir.compute import GridCompute, ReduceCompute, TensorInput
 from ..ir.expr import Expr, TensorElement, Var, convert

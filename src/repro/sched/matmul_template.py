@@ -42,7 +42,8 @@ from ..ir.compute import compute, reduce, tensor_input
 from ..ir.task import Task
 
 __all__ = ['matmul_task', 'build_matmul_module', 'matmul_stats',
-           'matmul_stats_batch', 'ScheduleColumns', 'MatmulSchedule']
+           'matmul_stats_batch', 'matmul_work_terms', 'ScheduleColumns',
+           'MatmulSchedule']
 
 
 def matmul_task(m: int, n: int, k: int, name: str = 'matmul') -> Task:
@@ -272,7 +273,7 @@ def matmul_stats(m: int, n: int, k: int, sched: MatmulSchedule,
         raise ValueError('batched matmul cannot use split-k')
     wom, won = sched.warp_outer
     tm, tn = sched.thread_tile
-    blocks, flops, gmem_read, gmem_write, smem_traffic, _ = _main_terms(
+    blocks, flops, gmem_read, gmem_write, smem_traffic, _ = matmul_work_terms(
         SCALAR, m, n, k, sched.block_m, sched.block_n, sched.block_k,
         sched.split_k, sched.threads, wom * tm + won * tn, batch,
         device.l2_cache_bytes, extra_read_bytes, extra_write_bytes)
@@ -314,11 +315,12 @@ _REDUCE_THREADS = 256
 _REDUCE_REGS = 24
 
 
-def _main_terms(ops: Ops, m, n, k, bm, bn, bk, split_k, threads, frags, batch,
-                l2_cache_bytes, extra_read_bytes, extra_write_bytes):
+def matmul_work_terms(ops: Ops, m, n, k, bm, bn, bk, split_k, threads, frags,
+                      batch, l2_cache_bytes, extra_read_bytes, extra_write_bytes):
     """Work terms of the main kernel, over one schedule (:data:`SCALAR`) or
     schedule columns (:data:`ARRAY`).  ``frags`` is the per-thread A+B
-    fragment length ``wom·tm + won·tn``.
+    fragment length ``wom·tm + won·tn``; the loop-oriented baselines'
+    tiled kernels (:mod:`repro.baselines.tiling`) use the same terms.
 
     Returns ``(grid_blocks, flops, gmem_read, gmem_write, smem_traffic,
     widest)``; ``widest`` bounds every integer term (for the exactness check
@@ -354,7 +356,7 @@ def _main_terms(ops: Ops, m, n, k, bm, bn, bk, split_k, threads, frags, batch,
 
 def _reduce_terms(ops: Ops, m, n, split_k, extra_write_bytes):
     """Work terms of the split-k reduce kernel: ``(grid_blocks, flops,
-    gmem_read, gmem_write, widest)``, as :func:`_main_terms`."""
+    gmem_read, gmem_write, widest)``, as :func:`matmul_work_terms`."""
     ceil, sqrt, minimum, maximum, where, to_float = ops
     partials = split_k * m * n
     return (ceil(m * n / _REDUCE_THREADS), to_float(partials),
@@ -425,7 +427,7 @@ def matmul_stats_batch(m: int, n: int, k: int, cols: ScheduleColumns,
     """
     with np.errstate(all='ignore'):
         blocks, flops, gmem_read, gmem_write, smem_traffic, widest = \
-            _main_terms(ARRAY, m, n, k, cols.block_m, cols.block_n,
+            matmul_work_terms(ARRAY, m, n, k, cols.block_m, cols.block_n,
                         cols.block_k, cols.split_k, cols.threads, cols.frags,
                         batch, device.l2_cache_bytes, extra_read_bytes,
                         extra_write_bytes)

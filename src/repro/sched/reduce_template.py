@@ -19,7 +19,7 @@ from ..core.taskmap import repeat, spatial
 from ..gpusim.stats import KernelStats, OVERLAP_NONE
 from ..ir import (FunctionBuilder, IRModule, Var, block_idx, f32, if_then_else,
                   thread_idx)
-from ..ir.compute import GridCompute, ReduceCompute, TensorInput
+from ..ir.compute import ReduceCompute, TensorInput
 from ..ir.functor import collect
 from ..ir.task import Task
 from .lower_compute import lower_compute_expr, ComputeLoweringError

@@ -20,7 +20,7 @@ import math
 
 from ..gpusim.stats import KernelStats
 from ..ir import FunctionBuilder, IRModule, Var, thread_idx, block_idx
-from ..ir.compute import GridCompute, ReduceCompute, TensorInput
+from ..ir.compute import ReduceCompute, TensorInput
 from ..ir.functor import collect
 from ..ir.task import Task
 from .lower_compute import emit_value

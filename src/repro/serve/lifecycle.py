@@ -23,7 +23,7 @@ its schedule from a seed, so a lifecycle run replays identically.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from ..gpusim.device import DeviceSpec, RTX3090

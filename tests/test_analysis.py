@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import (AnalysisError, AnalysisReport, Interval,
-                            ScheduleAnalyzer, analyze_module, check_coverage)
+from repro.analysis import (AnalysisError, AnalysisReport, ScheduleAnalyzer,
+                            analyze_module, check_coverage)
 from repro.analysis.fixtures import (build_duplicate_writer_kernel,
                                      build_hole_mapping_kernel,
                                      build_missing_barrier_kernel,
@@ -20,6 +20,7 @@ from repro.core.taskmap import (ComposedTaskMapping, CustomTaskMapping,
                                 repeat, spatial)
 from repro.core.tuning import MatmulTuner
 from repro.ir.compute import compute, reduce, tensor_input
+from repro.ir.intervals import Interval
 from repro.ir.task import Task
 from repro.sched.matmul_template import build_matmul_module
 from repro.sched.reduce_template import build_reduce_module

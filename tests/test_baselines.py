@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.backend.interpreter import run_kernel
 from repro.baselines import (Ansor, AutoTVM, KernelLibrary, OnnxRuntimeLike,
@@ -12,6 +14,9 @@ from repro.baselines.input_space import (autotvm_conv_space_size,
                                          resnet50_conv_workloads)
 from repro.baselines.loop_sched import (LoopSchedule, ScheduleError,
                                         create_default_program)
+from repro.baselines.tiling import TileConfig, tiled_matmul_stats
+from repro.gpusim.device import A100, LAPTOP_GPU, RTX3090, DeviceSpec
+from repro.gpusim.stats import KernelStats, OVERLAP_DOUBLE_BUFFER, OVERLAP_NONE
 from repro.graph import from_numpy, ops, symbol, trace
 from repro.ir.compute import compute, reduce, tensor_input
 from repro.ir.task import Task
@@ -118,6 +123,78 @@ class TestInputCentricSpace:
     def test_prime_extents_have_no_valid_tiles(self):
         assert list(iter_tile_configs(2039, 2039, 2039)) == []
         assert len(list(iter_tile_configs(2048, 2048, 2048))) > 100
+
+
+def _reference_tiled_matmul_stats(m: int, n: int, k: int, config: TileConfig, name: str,
+                                  double_buffer: bool = False,
+                                  batch: int = 1,
+                                  extra_read_bytes: float = 0.0,
+                                  extra_write_bytes: float = 0.0,
+                                  coalesce_factor: float = 1.0,
+                                  device: DeviceSpec = RTX3090) -> KernelStats:
+    """``tiled_matmul_stats`` as it was with its own copy of the traffic/L2
+    formula, kept verbatim as the oracle of the template's work terms."""
+    gx = math.ceil(n / config.bn)
+    gy = math.ceil(m / config.bm)
+    k_tiles = math.ceil(k / config.bk)
+    blocks = gx * gy * batch
+
+    flops = 2.0 * blocks * config.bm * config.bn * k_tiles * config.bk
+    l2_budget = device.l2_cache_bytes * 0.6
+    reads_a = float(blocks) * config.bm * config.bk * k_tiles * 4
+    reads_b = float(blocks) * config.bk * config.bn * k_tiles * 4
+    unique_a = float(gy * config.bm) * k_tiles * config.bk * 4 * batch
+    unique_b = float(gx * config.bn) * k_tiles * config.bk * 4 * batch
+    if unique_a <= l2_budget:
+        reads_a = unique_a
+    if unique_b <= l2_budget:
+        reads_b = unique_b
+
+    threads = config.threads
+    smem_read = float(blocks) * k_tiles * threads * (config.tm + config.tn) * config.bk * 4
+    smem_traffic = smem_read + float(blocks) * (config.bm + config.bn) * config.bk * 4 * k_tiles
+
+    stages = 2 if double_buffer else 1
+    return KernelStats(
+        name=name,
+        grid_blocks=blocks,
+        threads_per_block=threads,
+        flops=flops,
+        gmem_read_bytes=reads_a + reads_b + extra_read_bytes,
+        gmem_write_bytes=float(gx * config.bn * gy * config.bm * 4 * batch) + extra_write_bytes,
+        smem_bytes_per_block=config.smem_bytes * stages,
+        regs_per_thread=config.regs_per_thread + (
+            (config.bm + config.bn) * config.bk // max(1, threads) if double_buffer else 0),
+        smem_traffic_bytes=smem_traffic,
+        overlap=OVERLAP_DOUBLE_BUFFER if double_buffer else OVERLAP_NONE,
+        ilp=float(config.tm * config.tn),
+        coalesce_factor=coalesce_factor,
+    )
+
+
+class TestTiledStats:
+    """The baselines' tiled kernels use the template's work terms."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=st.integers(1, 6000), n=st.integers(1, 6000),
+           k=st.integers(1, 6000),
+           tile=st.tuples(st.integers(1, 256), st.integers(1, 256),
+                          st.integers(1, 64), st.integers(1, 16),
+                          st.integers(1, 16)),
+           batch=st.integers(1, 16), double_buffer=st.booleans(),
+           extra=st.tuples(st.sampled_from([0.0, 4096.0, 1.5e6]),
+                           st.sampled_from([0.0, 512.0, 3.25e5])),
+           device=st.sampled_from([RTX3090, A100, LAPTOP_GPU]))
+    def test_matches_the_hand_copied_formula(self, m, n, k, tile, batch,
+                                             double_buffer, extra, device):
+        bm, bn, bk, tm, tn = tile
+        config = TileConfig(bm, bn, bk, min(tm, bm), min(tn, bn))
+        kwargs = dict(double_buffer=double_buffer, batch=batch,
+                      extra_read_bytes=extra[0], extra_write_bytes=extra[1],
+                      coalesce_factor=0.8, device=device)
+        got = tiled_matmul_stats(m, n, k, config, 'g', **kwargs)
+        want = _reference_tiled_matmul_stats(m, n, k, config, 'g', **kwargs)
+        assert repr(got) == repr(want)
 
 
 class TestTuners:

@@ -14,23 +14,23 @@ from typing import List, Mapping, Optional
 
 import pytest
 
-from repro.analysis import AnalysisReport, Finding, analyze_function, expr_key
+from repro.analysis import AnalysisReport, Finding, analyze_function
 from repro.analysis.__main__ import (_ZOO, _space_sample, fixture_modules,
                                      matmul_template_modules, model_modules,
                                      reduce_template_modules)
-from repro.analysis.bounds import IntervalEnv, _BoundsChecker
+from repro.analysis.bounds import _BoundsChecker
 from repro.analysis.coverage import check_coverage
-from repro.analysis.intervals import AffineForm, Interval
+from repro.analysis.intervals import AffineForm
 from repro.analysis.races import _Access, _RaceChecker
 from repro.ir.expr import (PY_BINARY, PY_UNARY, BinaryExpr, BlockIndex, Call,
                            Cast, Constant, Expr, IfThenElse, TensorElement,
                            ThreadIndex, UnaryExpr, Var, thread_idx, var)
 from repro.ir.func import Function
 from repro.ir.functor import IRRewriter, NodeFunctor, collect
+from repro.ir.intervals import Interval, IntervalEnv, expr_key
 from repro.ir.passes.lower_task_mapping import (_lower_mapping,
                                                 lower_task_mappings)
-from repro.ir.passes.simplify import (Simplifier, _is_const, _Range, const_int,
-                                      simplify)
+from repro.ir.passes.simplify import Simplifier, _is_const, const_int, simplify
 from repro.ir.passes.verify import IRVerificationError, _Verifier
 from repro.ir.stmt import (AssignStmt, BarrierStmt, BufferStoreStmt,
                            DeclareStmt, EvaluateStmt, ForStmt, ForTaskStmt,
@@ -84,6 +84,20 @@ def oracle_lower_task_mappings(node):
             return node
         return Function(node.name, node.params, body, node.grid_dim, node.block_dim, node.attrs)
     return OracleTaskMappingLowerer().visit(node)
+
+
+class _Range:
+    """Half-open integer range [low, high) or unknown (None bounds)."""
+
+    __slots__ = ('low', 'high')
+
+    def __init__(self, low: Optional[int], high: Optional[int]):
+        self.low = low
+        self.high = high
+
+    @property
+    def known(self) -> bool:
+        return self.low is not None and self.high is not None
 
 
 class OracleSimplifier(IRRewriter):
@@ -799,3 +813,31 @@ def test_rebound_vars_drop_the_memo():
     stores = [line.strip() for line in text.split('\n') if 'buf[' in line]
     assert stores == ['buf[i % 4 + c] = 0.0', 'buf[i + 1] = 1.0',
                       'buf[i % 4 + 1] = 2.0', 'buf[i % 4 + 2] = 3.0']
+
+
+def test_interval_env_ranges_each_node_once():
+    """One env ranges each distinct node of a shared index once; a loop var
+    re-bound after a read gets its new range; a child starts afresh."""
+    i = var('i')
+    x = thread_idx() // 8 % 8 * 8 + i       # one object under three parents
+    index = x * 2 + (x + 1) + x % 4
+    distinct = {id(n) for n in collect(index, Expr)}
+    calls = Counter()
+
+    class CountingEnv(IntervalEnv):
+        def _raw(self, e):
+            calls[id(e)] += 1
+            return super()._raw(e)
+
+    env = CountingEnv((64, 1, 1), (1, 1, 1))
+    assert not env.bind(i, Interval(0, 3))
+    assert env.interval_of(index) == Interval(1, 181)
+    assert env.interval_of(index) == Interval(1, 181)
+    assert set(calls) == distinct and max(calls.values()) == 1
+
+    assert not env.bind(i, Interval(0, 3))      # same range: memo kept
+    assert env.bind(i, Interval(0, 7))          # read, then re-bound
+    assert env.interval_of(x) == Interval(0, 63)
+    calls.clear()
+    env.child().interval_of(index)
+    assert set(calls) == distinct and max(calls.values()) == 1
