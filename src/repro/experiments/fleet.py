@@ -664,7 +664,7 @@ def run_memory_packing(num_replicas: int = 4,
     survivors_ok = all(
         r.memory.peak_committed_bytes <= r.memory.capacity_bytes
         for r in failover.fleet.replicas if r.memory is not None)
-    conserved = (len(trace) == len(failover.completions)
+    conserved = (len(trace) == len(failover.record.done)
                  + len(failover.rejected) + len(failover.lost))
     return MemoryPackingReport(
         slo_p99_ms=slo_p99_ms,

@@ -245,9 +245,8 @@ class ScaleUpReport:
 
 
 def _post_join_p99_ms(result, join_at: float) -> float:
-    lat = [c.latency * 1e3 for c in result.completions
-           if c.request.arrival >= join_at]
-    return percentile(lat, 99)
+    arrival, completion, _ = result.record.completed()
+    return percentile(((completion - arrival) * 1e3)[arrival >= join_at], 99)
 
 
 def run_scaleup_warmup(slo_p99_ms: float, join_fraction: float = 0.25,

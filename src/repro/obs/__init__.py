@@ -5,7 +5,9 @@ Three layers, one package:
 * **tracing** (:mod:`repro.obs.tracing`) — per-request spans
   (arrival → … → complete/reject/lost) and per-batch GPU intervals,
   exportable as Chrome trace-event JSON for Perfetto, with invariant
-  checks (every arrival terminates exactly once; sim-time monotonic);
+  checks (every arrival terminates exactly once; sim-time monotonic),
+  recorded as columns of plain scalars (:mod:`repro.obs.columns`, which
+  the serving simulators' records use too);
 * **metrics** (:mod:`repro.obs.metrics`) — counters, sim-time gauges,
   and the one :class:`Histogram` type both the compile-time profiler and
   the serving fold summarize through, with :mod:`repro.obs.percentiles`
@@ -24,6 +26,7 @@ of the import graph so every layer above can speak it.
 """
 from .percentiles import is_nan, percentile
 from .metrics import Counter, Gauge, Histogram, Measurement, MetricsRegistry
+from .columns import Columns
 from .tracing import (LIFECYCLE_TRACK, TERMINAL_KINDS, BatchSpan, Instant,
                       RequestSpan, Tracer)
 from .telemetry import NULL_TELEMETRY, NullTelemetry, Telemetry
@@ -35,8 +38,8 @@ __all__ = [
     # metrics
     'Counter', 'Gauge', 'Histogram', 'Measurement', 'MetricsRegistry',
     # tracing
-    'Tracer', 'RequestSpan', 'BatchSpan', 'Instant', 'TERMINAL_KINDS',
-    'LIFECYCLE_TRACK',
+    'Columns', 'Tracer', 'RequestSpan', 'BatchSpan', 'Instant',
+    'TERMINAL_KINDS', 'LIFECYCLE_TRACK',
     # telemetry facade
     'Telemetry', 'NullTelemetry', 'NULL_TELEMETRY',
     # trajectory harness

@@ -14,6 +14,10 @@ One :class:`Tracer` records one simulation run as three kinds of record:
   transitions (join/kill/revive/retire/rehome/evict), autoscaler
   decisions.
 
+The tracer keeps each kind as columns of plain scalars
+(:class:`~repro.obs.columns.Columns`) and builds the records only when
+they are read.
+
 Timestamps are simulated seconds throughout.  :meth:`Tracer.chrome_trace`
 exports the run in the Chrome trace-event JSON format (the ``traceEvents``
 array form), loadable in Perfetto / ``chrome://tracing``: request
@@ -31,8 +35,11 @@ run; reusing it across runs trips the duplicate-arrival check.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, fields
 from typing import Optional
+
+from .columns import Columns
 
 __all__ = ['RequestSpan', 'BatchSpan', 'Instant', 'Tracer',
            'TERMINAL_KINDS', 'LIFECYCLE_TRACK']
@@ -47,7 +54,10 @@ LIFECYCLE_TRACK = -1
 
 @dataclass
 class RequestSpan:
-    """One request's recorded lifecycle (terminal fields set exactly once)."""
+    """One request's recorded lifecycle (terminal fields set exactly once).
+
+    Built from the tracer's columns on access: a copy of what was recorded.
+    """
 
     req_id: int
     model: str
@@ -96,16 +106,38 @@ class Instant:
 
 
 class Tracer:
-    """Record one run's spans; export and audit them afterwards."""
+    """Record one run's spans; export and audit them afterwards.
+
+    The spans are kept as columns (:class:`~repro.obs.columns.Columns`), so
+    a long run adds no object per request or batch.  :attr:`request_spans`,
+    :attr:`batch_spans` and :attr:`instants` build the records on access:
+    a new list each time, so changing one changes nothing recorded.
+    """
 
     def __init__(self):
-        self.request_spans: list[RequestSpan] = []
-        self.batch_spans: list[BatchSpan] = []
-        self.instants: list[Instant] = []
-        self._open: dict[int, RequestSpan] = {}
-        self._by_id: dict[int, RequestSpan] = {}
+        self._requests = Columns(RequestSpan)
+        self._batches = Columns(BatchSpan)
+        self._instants = Columns(Instant)
+        #: request id -> row of its span: while the span is open, and ever
+        self._open: dict[int, int] = {}
+        self._by_id: dict[int, int] = {}
         self._violations: list[str] = []
         self._thread_names: dict[int, str] = {}
+
+    @property
+    def request_spans(self) -> list[RequestSpan]:
+        """Every request's span, in arrival order."""
+        return self._requests.rows()
+
+    @property
+    def batch_spans(self) -> list[BatchSpan]:
+        """Every executed batch, in completion order."""
+        return self._batches.rows()
+
+    @property
+    def instants(self) -> list[Instant]:
+        """Every point event, in recording order."""
+        return self._instants.rows()
 
     # -- recording (called by the simulators / batcher / autoscaler) ---------
 
@@ -121,117 +153,122 @@ class Tracer:
                 f'duplicate arrival for request {request.req_id} '
                 f'(one tracer records one run)')
             return
-        span = RequestSpan(req_id=request.req_id, model=request.model,
-                           size=request.size, arrival=now, replica=replica)
-        self._open[request.req_id] = span
-        self._by_id[request.req_id] = span
-        self.request_spans.append(span)
+        row = self._requests.append(request.req_id, request.model,
+                                    request.size, now, replica, None, None,
+                                    0, 0, 0, None, None, '')
+        self._open[request.req_id] = row
+        self._by_id[request.req_id] = row
 
-    def _terminate(self, req_id: int, kind: str, now: float,
+    def _terminate(self, req_ids, kind: str, now: float,
                    replica: Optional[int], reason: str) -> None:
-        span = self._open.pop(req_id, None)
-        if span is None:
-            known = self._by_id.get(req_id)
-            if known is not None:
-                self._violations.append(
-                    f'request {req_id} terminated twice: '
-                    f'{known.terminal!r} then {kind!r}')
-            else:
-                self._violations.append(
-                    f'request {req_id} terminated ({kind!r}) without an '
-                    f'arrival')
-            return
-        span.terminal = kind
-        span.terminal_time = now
-        span.reason = reason
-        if replica is not None:
-            span.replica = replica
+        """End the open spans of ``req_ids`` as ``kind``."""
+        spans = self._requests
+        terminal, times = spans['terminal'], spans['terminal_time']
+        reasons, replicas = spans['reason'], spans['replica']
+        for req_id in req_ids:
+            row = self._open.pop(req_id, None)
+            if row is None:
+                known = self._by_id.get(req_id)
+                if known is not None:
+                    self._violations.append(
+                        f'request {req_id} terminated twice: '
+                        f'{terminal[known]!r} then {kind!r}')
+                else:
+                    self._violations.append(
+                        f'request {req_id} terminated ({kind!r}) without an '
+                        f'arrival')
+                continue
+            terminal[row] = kind
+            times[row] = now
+            reasons[row] = reason
+            if replica is not None:
+                replicas[row] = replica
 
     def reject(self, request, now: float, replica: Optional[int] = None,
                reason: str = 'admission') -> None:
         """Admission control turned the request away (terminal)."""
-        self._terminate(request.req_id, 'reject', now, replica, reason)
+        self._terminate((request.req_id,), 'reject', now, replica, reason)
 
     def lost(self, request, now: float, replica: Optional[int] = None,
              reason: str = 'failure', tokens: int = 0) -> None:
         """The request was lost — replica death, or nowhere to re-home
         (terminal).  ``tokens`` records how many output tokens a decode
         request had emitted before the loss (the loud partial count)."""
-        span = self._open.get(request.req_id)
-        if span is not None and tokens:
-            span.tokens_emitted = tokens
-        self._terminate(request.req_id, 'lost', now, replica, reason)
+        row = self._open.get(request.req_id)
+        if row is not None and tokens:
+            self._requests['tokens_emitted'][row] = tokens
+        self._terminate((request.req_id,), 'lost', now, replica, reason)
 
     def decode_join(self, request, now: float, replica: int,
                     width: Optional[int] = None) -> None:
         """A decode request joined a running batch: its prefill dispatches
         here (not terminal; tokens stream until EOS or loss).  ``width`` is
         the decode-batch width it joined at, recorded as the span's bucket."""
-        span = self._open.get(request.req_id)
-        if span is not None:
-            span.dispatch_time = now
-            span.bucket = width
-            span.replica = replica
-            span.prompt_tokens = getattr(request, 'prompt_tokens', 0)
+        row = self._open.get(request.req_id)
+        if row is not None:
+            spans = self._requests
+            spans['dispatch_time'][row] = now
+            spans['bucket'][row] = width
+            spans['replica'][row] = replica
+            spans['prompt_tokens'][row] = getattr(request, 'prompt_tokens', 0)
 
     def decode_complete(self, request, now: float, replica: int,
                         tokens: int) -> None:
         """A decode request emitted its EOS token after ``tokens`` output
         tokens (terminal)."""
-        span = self._open.get(request.req_id)
-        if span is not None:
-            span.tokens_emitted = tokens
-        self._terminate(request.req_id, 'complete', now, replica, reason='')
+        row = self._open.get(request.req_id)
+        if row is not None:
+            self._requests['tokens_emitted'][row] = tokens
+        self._terminate((request.req_id,), 'complete', now, replica,
+                        reason='')
 
     def requeue(self, request, now: float, replica: int) -> None:
         """The request survived its replica's death and re-admitted on
         ``replica`` (not terminal; its span continues there)."""
-        span = self._open.get(request.req_id)
-        if span is not None:
-            span.requeued += 1
-            span.replica = replica
+        row = self._open.get(request.req_id)
+        if row is not None:
+            spans = self._requests
+            spans['requeued'][row] += 1
+            spans['replica'][row] = replica
             # it re-enters a queue: any earlier dispatch no longer holds
-            span.dispatch_time = None
-            span.bucket = None
-        self.instants.append(Instant(name='requeue', time=now,
-                                     replica=replica,
-                                     args={'req_id': request.req_id,
-                                           'model': request.model}))
+            spans['dispatch_time'][row] = None
+            spans['bucket'][row] = None
+        self._instants.append('requeue', now, replica,
+                              {'req_id': request.req_id,
+                               'model': request.model})
 
     def batch_formed(self, batch, replica: int, now: float,
                      queued_after: Optional[int] = None) -> None:
         """The batcher coalesced a dispatch (requests leave the queue)."""
+        spans, open_, bucket = self._requests, self._open, batch.bucket
+        dispatched, buckets = spans['dispatch_time'], spans['bucket']
+        replicas = spans['replica']
         for request in batch.requests:
-            span = self._open.get(request.req_id)
-            if span is not None:
-                span.dispatch_time = now
-                span.bucket = batch.bucket
-                span.replica = replica
-        args = {'model': batch.model, 'bucket': batch.bucket,
-                'size': batch.size,
+            row = open_.get(request.req_id)
+            if row is not None:
+                dispatched[row] = now
+                buckets[row] = bucket
+                replicas[row] = replica
+        args = {'model': batch.model, 'bucket': bucket, 'size': batch.size,
                 'occupancy': round(batch.occupancy, 4)}
         if queued_after is not None:
             args['queued_after'] = queued_after
-        self.instants.append(Instant(name='batch_form', time=now,
-                                     replica=replica, args=args))
+        self._instants.append('batch_form', now, replica, args)
 
     def batch_done(self, batch, now: float) -> None:
         """The batch's GPU interval ended: its requests complete."""
-        self.batch_spans.append(BatchSpan(
-            replica=batch.replica, model=batch.model, bucket=batch.bucket,
-            size=batch.size, num_requests=len(batch.requests),
-            start=batch.dispatch_time, end=now))
-        for request in batch.requests:
-            self._terminate(request.req_id, 'complete', now, batch.replica,
-                            reason='')
+        self._batches.append(batch.replica, batch.model, batch.bucket,
+                             batch.size, len(batch.requests),
+                             batch.dispatch_time, now)
+        self._terminate([request.req_id for request in batch.requests],
+                        'complete', now, batch.replica, reason='')
 
     def instant(self, name: str, now: float,
                 track: int = LIFECYCLE_TRACK, **args) -> None:
         """A free-form point event (lifecycle transitions, autoscaler
         decisions) on ``track``'s export track; ``args`` may carry any
         attributes, including a ``replica`` the event is *about*."""
-        self.instants.append(Instant(name=name, time=now, replica=track,
-                                     args=dict(args)))
+        self._instants.append(name, now, track, args)
 
     # -- auditing ------------------------------------------------------------
 
@@ -239,10 +276,9 @@ class Tracer:
         """``{'complete': n, 'reject': n, 'lost': n, 'open': n}`` over every
         recorded request span — the totals :class:`ServeStats` must agree
         with."""
-        counts = {kind: 0 for kind in TERMINAL_KINDS}
-        counts['open'] = 0
-        for span in self.request_spans:
-            counts[span.terminal if span.is_terminated else 'open'] += 1
+        tally = Counter(self._requests['terminal'])
+        counts = {kind: tally[kind] for kind in TERMINAL_KINDS}
+        counts['open'] = tally[None]
         return counts
 
     def token_counts(self) -> dict[str, int]:
@@ -252,9 +288,10 @@ class Tracer:
         ``complete + lost == num_decode_tokens``."""
         counts = {kind: 0 for kind in TERMINAL_KINDS}
         counts['open'] = 0
-        for span in self.request_spans:
-            kind = span.terminal if span.is_terminated else 'open'
-            counts[kind] += span.tokens_emitted
+        spans = self._requests
+        for terminal, tokens in zip(spans['terminal'],
+                                    spans['tokens_emitted']):
+            counts[terminal or 'open'] += tokens
         return counts
 
     def check_invariants(self) -> list[str]:
@@ -268,45 +305,54 @@ class Tracer:
         every batch span is a well-formed, positively-sized interval.
         """
         problems = list(self._violations)
-        for span in self.request_spans:
-            rid = f'request {span.req_id}'
-            if not span.is_terminated:
+        spans = self._requests
+        for (req_id, arrival, replica, dispatch_time, bucket, prompt_tokens,
+             tokens_emitted, terminal, terminal_time) in zip(
+                *(spans[name] for name in (
+                    'req_id', 'arrival', 'replica', 'dispatch_time',
+                    'bucket', 'prompt_tokens', 'tokens_emitted', 'terminal',
+                    'terminal_time'))):
+            rid = f'request {req_id}'
+            if terminal is None:
                 problems.append(f'{rid} never terminated (arrived at '
-                                f'{span.arrival:.6f}s, still open)')
+                                f'{arrival:.6f}s, still open)')
                 continue
-            if span.terminal_time < span.arrival:
+            if terminal_time < arrival:
                 problems.append(
-                    f'{rid} terminal at {span.terminal_time:.6f}s before '
-                    f'its arrival at {span.arrival:.6f}s')
-            if span.dispatch_time is not None:
-                if span.dispatch_time < span.arrival:
+                    f'{rid} terminal at {terminal_time:.6f}s before '
+                    f'its arrival at {arrival:.6f}s')
+            if dispatch_time is not None:
+                if dispatch_time < arrival:
                     problems.append(
-                        f'{rid} dispatched at {span.dispatch_time:.6f}s '
-                        f'before its arrival at {span.arrival:.6f}s')
-                if span.terminal_time < span.dispatch_time:
+                        f'{rid} dispatched at {dispatch_time:.6f}s '
+                        f'before its arrival at {arrival:.6f}s')
+                if terminal_time < dispatch_time:
                     problems.append(
-                        f'{rid} terminal at {span.terminal_time:.6f}s '
-                        f'before its dispatch at {span.dispatch_time:.6f}s')
-            if span.terminal == 'complete':
-                if span.dispatch_time is None or span.bucket is None:
+                        f'{rid} terminal at {terminal_time:.6f}s '
+                        f'before its dispatch at {dispatch_time:.6f}s')
+            if terminal == 'complete':
+                if dispatch_time is None or bucket is None:
                     problems.append(f'{rid} completed without a recorded '
                                     f'dispatch/bucket')
-                if span.replica is None:
+                if replica is None:
                     problems.append(f'{rid} completed without a replica')
-                if span.prompt_tokens > 0 and span.tokens_emitted == 0:
+                if prompt_tokens > 0 and tokens_emitted == 0:
                     problems.append(
-                        f'{rid} is decode traffic ({span.prompt_tokens} '
+                        f'{rid} is decode traffic ({prompt_tokens} '
                         f'prompt tokens) but completed with zero tokens '
                         f'emitted')
-        for i, batch in enumerate(self.batch_spans):
-            if batch.end < batch.start:
-                problems.append(f'batch span #{i} ends ({batch.end:.6f}s) '
-                                f'before it starts ({batch.start:.6f}s)')
-            if batch.size < 1 or batch.num_requests < 1:
+        batches = self._batches
+        for i, (start, end, size, num_requests, bucket) in enumerate(zip(
+                batches['start'], batches['end'], batches['size'],
+                batches['num_requests'], batches['bucket'])):
+            if end < start:
+                problems.append(f'batch span #{i} ends ({end:.6f}s) '
+                                f'before it starts ({start:.6f}s)')
+            if size < 1 or num_requests < 1:
                 problems.append(f'batch span #{i} is empty')
-            if batch.size > batch.bucket:
+            if size > bucket:
                 problems.append(f'batch span #{i} overflows its bucket '
-                                f'({batch.size} > {batch.bucket})')
+                                f'({size} > {bucket})')
         return problems
 
     def assert_invariants(self) -> None:
@@ -348,51 +394,57 @@ class Tracer:
         for replica, name in sorted(names.items()):
             events.append({'name': 'thread_name', 'ph': 'M', 'pid': 0,
                            'tid': self._tid(replica), 'args': {'name': name}})
-        for span in self.request_spans:
-            tid = self._tid(span.replica)
+        us, tid_of = self._us, self._tid
+        spans = self._requests
+        for (req_id, model, size, arrival, replica, dispatch_time, bucket,
+             requeued, prompt_tokens, tokens_emitted, terminal,
+             terminal_time, reason) in zip(
+                *(spans[f.name] for f in fields(RequestSpan))):
+            tid = tid_of(replica)
             events.append({
-                'name': f'request:{span.model}', 'cat': 'request',
-                'ph': 'b', 'id': span.req_id,
-                'ts': self._us(span.arrival), 'pid': 0, 'tid': tid,
-                'args': {'req_id': span.req_id, 'model': span.model,
-                         'size': span.size},
+                'name': f'request:{model}', 'cat': 'request',
+                'ph': 'b', 'id': req_id,
+                'ts': us(arrival), 'pid': 0, 'tid': tid,
+                'args': {'req_id': req_id, 'model': model, 'size': size},
             })
-            if not span.is_terminated:
+            if terminal is None:
                 continue
-            args = {'terminal': span.terminal, 'req_id': span.req_id,
-                    'latency_ms': (span.terminal_time - span.arrival) * 1e3}
-            if span.reason:
-                args['reason'] = span.reason
-            if span.dispatch_time is not None:
-                args['dispatch_ts_us'] = self._us(span.dispatch_time)
-                args['bucket'] = span.bucket
-            if span.requeued:
-                args['requeued'] = span.requeued
-            if span.prompt_tokens or span.tokens_emitted:
-                args['prompt_tokens'] = span.prompt_tokens
-                args['tokens_out'] = span.tokens_emitted
+            args = {'terminal': terminal, 'req_id': req_id,
+                    'latency_ms': (terminal_time - arrival) * 1e3}
+            if reason:
+                args['reason'] = reason
+            if dispatch_time is not None:
+                args['dispatch_ts_us'] = us(dispatch_time)
+                args['bucket'] = bucket
+            if requeued:
+                args['requeued'] = requeued
+            if prompt_tokens or tokens_emitted:
+                args['prompt_tokens'] = prompt_tokens
+                args['tokens_out'] = tokens_emitted
             events.append({
-                'name': f'request:{span.model}', 'cat': 'request',
-                'ph': 'e', 'id': span.req_id,
-                'ts': self._us(span.terminal_time), 'pid': 0, 'tid': tid,
+                'name': f'request:{model}', 'cat': 'request',
+                'ph': 'e', 'id': req_id,
+                'ts': us(terminal_time), 'pid': 0, 'tid': tid,
                 'args': args,
             })
-        for batch in self.batch_spans:
+        batches = self._batches
+        for replica, model, bucket, size, num_requests, start, end in zip(
+                *(batches[f.name] for f in fields(BatchSpan))):
             events.append({
-                'name': f'{batch.model}[b{batch.bucket}]', 'cat': 'batch',
-                'ph': 'X', 'ts': self._us(batch.start),
-                'dur': self._us(batch.end - batch.start),
-                'pid': 0, 'tid': self._tid(batch.replica),
-                'args': {'model': batch.model, 'bucket': batch.bucket,
-                         'size': batch.size,
-                         'num_requests': batch.num_requests,
-                         'occupancy': round(batch.occupancy, 4)},
+                'name': f'{model}[b{bucket}]', 'cat': 'batch',
+                'ph': 'X', 'ts': us(start), 'dur': us(end - start),
+                'pid': 0, 'tid': tid_of(replica),
+                'args': {'model': model, 'bucket': bucket, 'size': size,
+                         'num_requests': num_requests,
+                         'occupancy': round(size / bucket, 4)},
             })
-        for inst in self.instants:
+        instants = self._instants
+        for name, time, replica, args in zip(
+                *(instants[f.name] for f in fields(Instant))):
             events.append({
-                'name': inst.name, 'cat': 'event', 'ph': 'i', 's': 't',
-                'ts': self._us(inst.time), 'pid': 0,
-                'tid': self._tid(inst.replica), 'args': dict(inst.args),
+                'name': name, 'cat': 'event', 'ph': 'i', 's': 't',
+                'ts': us(time), 'pid': 0, 'tid': tid_of(replica),
+                'args': dict(args),
             })
         return {'traceEvents': events, 'displayTimeUnit': 'ms'}
 

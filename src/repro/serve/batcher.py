@@ -9,6 +9,7 @@ paid for in the bucket's modeled latency and reported as occupancy.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -22,12 +23,13 @@ __all__ = ['BatchingPolicy', 'Batch', 'DynamicBatcher',
 
 
 def smallest_covering_bucket(size: int, buckets: Sequence[int]) -> int:
-    """The smallest compiled bucket that fits ``size`` samples."""
-    covering = [b for b in buckets if b >= size]
-    if not covering:
+    """The smallest bucket of the ascending ladder ``buckets`` that fits
+    ``size`` samples."""
+    index = bisect_left(buckets, size)
+    if index == len(buckets):
         raise ValueError(f'no bucket covers batch size {size} '
                          f'(buckets: {sorted(buckets)})')
-    return min(covering)
+    return buckets[index]
 
 
 @dataclass(frozen=True)
@@ -69,21 +71,19 @@ class Batch:
     """A coalesced dispatch: requests of one model bound for one bucket.
 
     ``bucket`` is the compiled bucket capacity serving the batch;
-    ``dispatch_time`` is the simulated second the batch left the queue.
-    ``replica`` identifies the GPU that served it (always 0 under the
-    single-GPU :class:`~repro.serve.simulator.ServerSimulator`).
+    ``dispatch_time`` is the simulated second the batch left the queue;
+    ``size`` counts the real samples of ``requests`` (the rest of the
+    bucket is padding).  ``replica`` identifies the GPU that served it
+    (always 0 under the single-GPU
+    :class:`~repro.serve.simulator.ServerSimulator`).
     """
 
     model: str
     requests: list[Request]
     bucket: int                  # compiled bucket capacity serving the batch
     dispatch_time: float
+    size: int                    # real samples: the sum of request sizes
     replica: int = 0             # fleet replica that served the batch
-
-    @property
-    def size(self) -> int:
-        """Real samples in the batch (the rest of the bucket is padding)."""
-        return sum(r.size for r in self.requests)
 
     @property
     def occupancy(self) -> float:
@@ -251,7 +251,7 @@ class DynamicBatcher:
             size += request.size
         bucket = smallest_covering_bucket(size, self.buckets[model])
         return Batch(model=model, requests=taken, bucket=bucket,
-                     dispatch_time=now)
+                     dispatch_time=now, size=size)
 
     def next_deadline(self) -> Optional[float]:
         """Earliest head-of-line wait deadline across queues, or None."""

@@ -46,8 +46,8 @@ from .lifecycle import Autoscaler, FailureEvent, LifecycleEvent
 from .memory import MemoryModel, footprint_from_graphs, format_bytes
 from .placement import PlacementPolicy, RoundRobinPlacement
 from .registry import ModelRegistry, RegisteredModel, model_ladder
-from .simulator import (BATCH_OVERHEAD_SECONDS, CompletedRequest,
-                        DispatchEngine)
+from .simulator import (BATCH_OVERHEAD_SECONDS, DispatchEngine, RunRecord,
+                        _DispatchViews)
 from .stats import ServeStats, compute_stats, format_serving_report
 from .trace import Request
 
@@ -449,13 +449,14 @@ class Fleet:
 
 
 @dataclass
-class FleetResult:
+class FleetResult(_DispatchViews):
     """Everything a finished fleet run produced.
 
-    Mirrors :class:`~repro.serve.simulator.SimulationResult`, with
-    per-replica accounting: every completion and batch carries the replica
-    index it ran on, and ``busy_seconds`` is indexed by replica.  Lifecycle
-    runs additionally fill ``lost`` (requests dropped by failures),
+    Mirrors :class:`~repro.serve.simulator.SimulationResult` (``record``
+    holds the columns that ``completions`` and ``batches`` are built from),
+    with per-replica accounting: every completion and batch carries the
+    replica index it ran on, and ``busy_seconds`` is indexed by replica.
+    Lifecycle runs additionally fill ``lost`` (requests dropped by failures),
     ``num_requeued``, the ``events`` log, the ``replica_seconds`` capacity
     bill, and the tuning-seconds split between mid-run joins
     (``scale_up_tuning_seconds``) and failure re-homing
@@ -463,9 +464,8 @@ class FleetResult:
     """
 
     fleet: Fleet
-    completions: list[CompletedRequest]
-    batches: list[Batch]
     policy: BatchingPolicy
+    record: RunRecord = field(repr=False)
     busy_seconds: list[float] = field(default_factory=list)
     rejected: list[Request] = field(default_factory=list)
     #: requests lost to replica failures: in-flight on the dead GPU, or
@@ -519,23 +519,30 @@ class FleetResult:
         (join to retirement/death, or run end while it lived — a replica
         that joined at 90% of the trace and ran saturated reports ~100%,
         not ~10%), and final state."""
-        end = (max(c.completion for c in self.completions)
-               if self.completions else 0.0)
+        done, batches = self.record.done, self.record.batches
+        end = float(done.numpy('completion').max()) if len(done) else 0.0
+        kept = batches.numpy('first') >= 0
+        served_by = batches.numpy('replica')[kept]
+        sizes = batches.numpy('size')[kept]
+        counts = batches.numpy('count')[kept]
+        occupancy = sizes / batches.numpy('bucket')[kept]
         rows = []
         for replica in self.fleet.replicas:
-            mine = [b for b in self.batches if b.replica == replica.index]
-            samples = sum(b.size for b in mine)
+            mine = served_by == replica.index
+            num_batches = int(mine.sum())
             busy = self.busy_seconds[replica.index]
             window = ((replica.retired_at if replica.retired_at is not None
                        else end) - replica.joined_at)
             rows.append({
                 'replica': replica.label,
                 'state': replica.state,
-                'requests': sum(len(b.requests) for b in mine),
-                'samples': samples,
-                'batches': len(mine),
-                'mean_occupancy': (sum(b.occupancy for b in mine) / len(mine)
-                                   if mine else 0.0),
+                'requests': int(counts[mine].sum()),
+                'samples': int(sizes[mine].sum()),
+                'batches': num_batches,
+                # Python's left-to-right float sum: numpy's pairwise sum
+                # can differ in the last digit
+                'mean_occupancy': (sum(occupancy[mine].tolist())
+                                   / num_batches if num_batches else 0.0),
                 'busy_seconds': busy,
                 'utilization': busy / window if window > 0 else 0.0,
                 'peak_memory_bytes': replica.peak_memory_bytes,
@@ -963,9 +970,8 @@ class FleetSimulator(DispatchEngine):
         for replica in list(self._active_since):
             self._end_active_span(replica, now)
 
-        self._finish()
-        result = FleetResult(fleet=fleet, completions=self.completions,
-                             batches=self.batches, policy=self.policy,
+        result = FleetResult(fleet=fleet, policy=self.policy,
+                             record=self._finish(),
                              busy_seconds=[lane.busy_seconds
                                            for lane in self.lanes],
                              rejected=self.rejected, lost=self.lost,
@@ -975,8 +981,8 @@ class FleetSimulator(DispatchEngine):
                              rehome_tuning_seconds=self._rehome_tuning)
         # hand the run's data to the result and drop our references: a
         # simulator held across a sweep must not pin every past trace's
-        # completions/batches in memory (the load-view API stays usable)
-        self.completions, self.batches = [], []
+        # record in memory (the load-view API stays usable)
+        self._record = None
         self.rejected, self.lost, self._log = [], [], []
         self._recent = deque()
         self._requeued_ids = set()

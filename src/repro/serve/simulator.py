@@ -26,10 +26,13 @@ step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Optional, Sequence
 
+import numpy as np
+
 from ..gpusim.decode import DecodeCostModel
-from ..obs import NULL_TELEMETRY, Telemetry
+from ..obs import NULL_TELEMETRY, Columns, Telemetry
 from .batcher import (Batch, BatchingPolicy, ContinuousBatcher, DecodePolicy,
                       DynamicBatcher)
 from .engine import Lane, ReplicaEngine
@@ -40,7 +43,7 @@ from .trace import Request
 
 __all__ = ['ServerSimulator', 'SimulationResult', 'CompletedRequest',
            'DispatchEngine', 'DecodeSimulator', 'DecodeResult',
-           'DecodedRequest']
+           'DecodedRequest', 'RunRecord']
 
 #: host-side cost of launching one coalesced batch (queue pop, tensor
 #: gather/scatter for padding) — charged per dispatch, not per request
@@ -51,12 +54,14 @@ BATCH_OVERHEAD_SECONDS = 20e-6
 class CompletedRequest:
     """One request's lifecycle: arrival -> batch dispatch -> completion.
 
-    All times are simulated **seconds** since trace start; ``bucket`` is the
-    compiled batch bucket that served the request and ``replica`` the fleet
-    replica it ran on (0 under the single-GPU simulator).  ``requeued``
-    marks a request that survived a replica failure: it was queued on the
-    dead replica and re-admitted elsewhere, so its latency includes the
-    outage (always ``False`` under the single-GPU simulator).
+    A run keeps these as columns (:class:`RunRecord`) and builds the
+    records when its result's ``completions`` are read.  All times are
+    simulated **seconds** since trace start; ``bucket`` is the compiled
+    batch bucket that served the request and ``replica`` the fleet replica
+    it ran on (0 under the single-GPU simulator).  ``requeued`` marks a
+    request that survived a replica failure: it was queued on the dead
+    replica and re-admitted elsewhere, so its latency includes the outage
+    (always ``False`` under the single-GPU simulator).
     """
 
     request: Request
@@ -77,19 +82,98 @@ class CompletedRequest:
         return self.dispatch_time - self.request.arrival
 
 
-@dataclass
-class SimulationResult:
-    """Everything a finished run produced.
+class RunRecord:
+    """What one run recorded, as columns (:class:`~repro.obs.Columns`).
 
-    ``completions`` hold every admitted request's lifecycle record;
-    ``rejected`` the requests admission control turned away at arrival
-    (empty unless the policy sets ``max_queue``); ``batches`` the dispatched
-    coalesced batches in dispatch order.
+    ``done`` holds a row per completed request, a ``kind`` record
+    (:class:`CompletedRequest` or :class:`DecodedRequest`), in the order the
+    run recorded them.  ``batches`` holds a row per dispatched batch, in
+    dispatch order: a completed batch's requests are the ``count``
+    completion rows from row ``first``, and a batch lost mid-flight keeps
+    ``first == -1``.  A decode run dispatches no batches.
+
+    :meth:`close` fixes the order the views and the stats fold read the
+    completions in: by completion time, then request id.
     """
 
-    completions: list[CompletedRequest]
-    batches: list[Batch]
+    __slots__ = ('done', 'batches', 'order')
+
+    def __init__(self, kind):
+        self.done = Columns(kind)
+        self.batches = Columns(Batch, 'requests', first=int, count=int)
+        self.order = None
+
+    def close(self) -> None:
+        """The run ended: order the completions for reading."""
+        req_ids = [request.req_id for request in self.done['request']]
+        self.order = np.lexsort((req_ids, self.done.numpy('completion')))
+
+    def completions(self) -> list:
+        """Every completion record, a new list on each call."""
+        return self.done.rows(self.order)
+
+    def batch_records(self) -> list[Batch]:
+        """Every completed batch, in dispatch order; a new list on each
+        call."""
+        kept = np.flatnonzero(self.batches.numpy('first') >= 0).tolist()
+        first, count = self.batches['first'], self.batches['count']
+        requests = self.done['request']
+        return self.batches.rows(kept, requests=[
+            requests[first[row]:first[row] + count[row]] for row in kept])
+
+    def completed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(arrival, completion, size)`` of every completed request, in
+        the order of :meth:`completions`."""
+        requests = self.done['request']
+        n = len(requests)
+        arrival = np.fromiter(map(_arrival, requests), float, n)
+        size = np.fromiter(map(_size, requests), np.int64, n)
+        order = self.order
+        return (arrival[order], self.done.numpy('completion')[order],
+                size[order])
+
+    def dispatched(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(bucket, size)`` of every completed batch, in dispatch order."""
+        kept = self.batches.numpy('first') >= 0
+        return (self.batches.numpy('bucket')[kept],
+                self.batches.numpy('size')[kept])
+
+
+_arrival = attrgetter('arrival')
+_size = attrgetter('size')
+
+
+class _DispatchViews:
+    """The record views of a dynamic-batching run's result: each access
+    builds a new list from ``record``, so changing it changes nothing
+    recorded."""
+
+    @property
+    def completions(self) -> list[CompletedRequest]:
+        """Every admitted request's lifecycle record, by completion time
+        then request id."""
+        return self.record.completions()
+
+    @property
+    def batches(self) -> list[Batch]:
+        """The dispatched coalesced batches that completed, in dispatch
+        order."""
+        return self.record.batch_records()
+
+
+@dataclass
+class SimulationResult(_DispatchViews):
+    """Everything a finished run produced.
+
+    ``record`` holds what the run recorded as columns; ``completions``
+    (every admitted request's lifecycle record) and ``batches`` (the
+    dispatched coalesced batches in dispatch order) are built from it on
+    each access.  ``rejected`` holds the requests admission control turned
+    away at arrival (empty unless the policy sets ``max_queue``).
+    """
+
     policy: BatchingPolicy
+    record: RunRecord = field(repr=False)
     #: simulated seconds the GPU spent serving batches
     busy_seconds: float = 0.0
     #: arrivals turned away by admission control (policy.max_queue)
@@ -112,7 +196,7 @@ class SimulationResult:
 class _DispatchLane(Lane):
     """One replica's dynamic-batching state."""
 
-    __slots__ = ('prices', 'gpu_free_at', 'armed')
+    __slots__ = ('prices', 'gpu_free_at', 'armed', 'row')
 
     def __init__(self, index: int, batcher: DynamicBatcher, now: float):
         super().__init__(index, batcher)
@@ -120,6 +204,7 @@ class _DispatchLane(Lane):
         self.prices: dict[tuple[str, int], float] = {}
         self.gpu_free_at = now           # the GPU is idle iff now >= this
         self.armed: Optional[float] = None   # earliest pending timer
+        self.row = -1                    # the in-flight batch's record row
 
 
 class DispatchEngine(ReplicaEngine):
@@ -141,8 +226,7 @@ class DispatchEngine(ReplicaEngine):
 
     def _start(self, telemetry: Optional[Telemetry]) -> None:
         super()._start(telemetry)
-        self.completions: list[CompletedRequest] = []
-        self.batches: list[Batch] = []
+        self._record = RunRecord(CompletedRequest)
         self._requeued_ids: set[int] = set()
         self._touched: set[int] = set()
 
@@ -163,8 +247,9 @@ class DispatchEngine(ReplicaEngine):
             lane.prices[name, bucket] = (model.latency(bucket)
                                          + self.batch_overhead)
 
-    def _finish(self) -> None:
-        self.completions.sort(key=lambda c: (c.completion, c.request.req_id))
+    def _finish(self) -> RunRecord:
+        self._record.close()
+        return self._record
 
     # -- events ----------------------------------------------------------------
 
@@ -194,14 +279,14 @@ class DispatchEngine(ReplicaEngine):
             return                       # stale: the replica died mid-batch
         batch = lane.in_flight
         lane.in_flight = None
+        record, requests = self._record, batch.requests
+        record.batches['first'][lane.row] = len(record.done)
         requeued = self._requeued_ids
-        self.completions.extend(
-            CompletedRequest(request=request,
-                             dispatch_time=batch.dispatch_time,
-                             completion=now, bucket=batch.bucket,
-                             replica=replica,
-                             requeued=request.req_id in requeued)
-            for request in batch.requests)
+        record.done.extend(
+            len(requests), requests, batch.dispatch_time, now, batch.bucket,
+            replica,
+            [request.req_id in requeued for request in requests]
+            if requeued else False)
         self.telemetry.batch_done(batch, now)
         self._completed(lane, batch, now)
         self._kick(lane, now)
@@ -243,7 +328,9 @@ class DispatchEngine(ReplicaEngine):
         lane.gpu_free_at = now + service
         lane.busy_seconds += service
         lane.in_flight = batch
-        self.batches.append(batch)
+        lane.row = self._record.batches.append(
+            batch.model, batch.bucket, now, batch.size, lane.index, -1,
+            len(batch.requests))
         if self.telemetry is not NULL_TELEMETRY:
             # the queue depth only feeds the trace: an unobserved run skips it
             self.telemetry.batch_formed(batch, lane.index, now,
@@ -257,13 +344,12 @@ class DispatchEngine(ReplicaEngine):
         batch = lane.in_flight
         lane.in_flight = None
         if batch is not None:
-            # the GPU died mid-batch: its requests are lost, the unspent
-            # service time is given back, and the batch leaves the dispatch
-            # record, which would otherwise count work that is also counted
-            # as lost
+            # the GPU died mid-batch: its requests are lost and the unspent
+            # service time is given back; the batch's record row never
+            # completes, so the record does not count work also counted as
+            # lost
             lane.busy_seconds -= max(0.0, lane.gpu_free_at - now)
             lane.gpu_free_at = now
-            self.batches.remove(batch)
             for request in batch.requests:
                 self._lose(request, now, replica=lane.index,
                            reason='failure:in_flight')
@@ -329,9 +415,7 @@ class ServerSimulator:
         engine._start(telemetry)
         lane = engine._add_lane(self.registry)
         engine._loop(trace)
-        engine._finish()
-        return SimulationResult(completions=engine.completions,
-                                batches=engine.batches, policy=self.policy,
+        return SimulationResult(policy=self.policy, record=engine._finish(),
                                 busy_seconds=lane.busy_seconds,
                                 rejected=engine.rejected)
 
@@ -344,6 +428,7 @@ class ServerSimulator:
 class DecodedRequest:
     """One decode request's lifecycle: arrival -> join -> EOS.
 
+    Like :class:`CompletedRequest`, built from the run's columns on access.
     ``join_time`` is when the request entered the running batch (prefill),
     ``first_token_time`` when its first output token landed, ``completion``
     when its last token did.  ``tokens_out`` always equals the request's
@@ -376,11 +461,15 @@ class DecodedRequest:
 
 @dataclass
 class DecodeResult:
-    """Everything a finished decode run produced (token granularity)."""
+    """Everything a finished decode run produced (token granularity).
 
-    completions: list[DecodedRequest]
+    ``record`` holds the completion rows as columns; ``completions`` builds
+    them as :class:`DecodedRequest` records on each access.
+    """
+
     policy: DecodePolicy
     continuous: bool
+    record: RunRecord = field(repr=False)
     rejected: list[Request] = field(default_factory=list)
     lost: list[Request] = field(default_factory=list)
     busy_seconds: float = 0.0
@@ -396,6 +485,12 @@ class DecodeResult:
     num_requeued: int = 0
     kv_peak_bytes: dict = field(default_factory=dict)      # lane label -> peak
     kv_capacity_bytes: dict = field(default_factory=dict)  # lane label -> cap
+
+    @property
+    def completions(self) -> list[DecodedRequest]:
+        """Every completed request's record, by completion time then
+        request id; a new list on each access."""
+        return self.record.completions()
 
     @property
     def mean_decode_width(self) -> float:
@@ -539,8 +634,9 @@ class DecodeSimulator(ReplicaEngine):
         """
         self._start(telemetry)
         result = self._result = DecodeResult(
-            completions=[], policy=self.policy, continuous=self.continuous,
-            rejected=self.rejected, lost=self.lost)
+            policy=self.policy, continuous=self.continuous,
+            record=RunRecord(DecodedRequest), rejected=self.rejected,
+            lost=self.lost)
         for _ in range(self.num_replicas):
             self._new_lane()
         for event in self.failures:
@@ -553,7 +649,7 @@ class DecodeSimulator(ReplicaEngine):
         for lane in self.lanes:
             result.kv_peak_bytes[lane.label] = lane.ledger.peak_committed_bytes
             result.kv_capacity_bytes[lane.label] = lane.ledger.capacity_bytes
-        result.completions.sort(key=lambda c: (c.completion, c.request.req_id))
+        result.record.close()
         return result
 
     # -- events ----------------------------------------------------------------
@@ -621,10 +717,9 @@ class DecodeSimulator(ReplicaEngine):
                 now: float) -> None:
         """Write the completion record at the request's last token."""
         live.recorded = True
-        self._result.completions.append(DecodedRequest(
-            request=live.request, join_time=live.join_time,
-            first_token_time=live.first_token_time, completion=now,
-            tokens_out=live.emitted, replica=lane.index))
+        self._result.record.done.append(
+            live.request, live.join_time, live.first_token_time, now,
+            live.emitted, lane.index)
         self.telemetry.decode_complete(live.request, now, lane.index,
                                        tokens=live.emitted)
 

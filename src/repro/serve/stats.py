@@ -195,10 +195,11 @@ def compute_stats(result, registry=None,
                   telemetry=None) -> ServeStats:
     """Fold a finished run's result into a :class:`ServeStats`.
 
-    ``result`` is a simulator's result object: its ``completions`` are the
-    per-request records (``request``, ``completion`` fields), ``batches``
-    the dispatched :class:`Batch`\\ es (none for a decode run) and
-    ``rejected`` the requests admission control turned away.  The lifecycle
+    ``result`` is a simulator's result object: its ``record``
+    (:class:`~repro.serve.simulator.RunRecord`) holds the completed
+    requests and the dispatched batches (none for a decode run) as
+    columns, which the fold reads with numpy, and ``rejected`` the
+    requests admission control turned away.  The lifecycle
     channel — ``lost`` (requests dropped by replica failures),
     ``num_requeued``, ``replica_seconds``, ``scale_up_tuning_seconds`` —
     and the memory and token channels are read from the result when it
@@ -223,15 +224,17 @@ def compute_stats(result, registry=None,
     never fakes an SLO pass), throughput zero, and the rejection/loss
     channels carry the story.  Only a run with no requests at all raises.
     """
-    completions, rejected = result.completions, result.rejected
-    batches = getattr(result, 'batches', ())
+    arrivals, finishes, sizes = result.record.completed()
+    buckets, batch_sizes = result.record.dispatched()
+    num_completed, num_batches = len(finishes), len(buckets)
+    rejected = result.rejected
     lost = getattr(result, 'lost', ())
     channels = {}
     for name, default in _CHANNELS.items():
         value = getattr(result, name, default)
         # copied: the stats must not alias the result's (or these) dicts
         channels[name] = dict(value) if isinstance(value, dict) else value
-    if not completions and not rejected and not lost:
+    if not num_completed and not rejected and not lost:
         raise ValueError('cannot compute serving stats of an empty run')
 
     hits = misses = transfers = device_transfers = 0
@@ -249,13 +252,13 @@ def compute_stats(result, registry=None,
 
     metrics = MetricsRegistry()
     metrics.counter('serve.requests.completed',
-                    unit='requests').add(len(completions))
+                    unit='requests').add(num_completed)
     metrics.counter('serve.requests.rejected',
                     unit='requests').add(len(rejected))
     metrics.counter('serve.requests.lost', unit='requests').add(len(lost))
     metrics.counter('serve.requests.requeued',
                     unit='requests').add(channels['num_requeued'])
-    metrics.counter('serve.batches', unit='batches').add(len(batches))
+    metrics.counter('serve.batches', unit='batches').add(num_batches)
     metrics.counter('serve.cache.hits').add(hits)
     metrics.counter('serve.cache.misses').add(misses)
     metrics.counter('serve.cache.transfer_hits').add(transfers)
@@ -290,10 +293,10 @@ def compute_stats(result, registry=None,
         metrics=metrics,
     )
 
-    if not completions:
+    if not num_completed:
         nan = float('nan')
         return ServeStats(
-            num_requests=0, num_samples=0, num_batches=len(batches),
+            num_requests=0, num_samples=0, num_batches=num_batches,
             duration=0.0, throughput_rps=0.0, throughput_sps=0.0,
             latency_p50_ms=nan, latency_p95_ms=nan, latency_p99_ms=nan,
             latency_mean_ms=nan, latency_max_ms=nan,
@@ -301,37 +304,34 @@ def compute_stats(result, registry=None,
             **channels,
         )
 
-    arrivals = np.asarray([c.request.arrival for c in completions])
-    finishes = np.asarray([c.completion for c in completions])
     latency_hist = metrics.histogram('serve.latency_ms', unit='ms')
     latency_hist.observe_many((finishes - arrivals) * 1e3)
     duration = float(finishes.max() - arrivals.min())
     if duration <= 0:
         duration = float(finishes.max()) or 1e-12
-    num_samples = int(sum(c.request.size for c in completions))
+    num_samples = int(sizes.sum())
     occupancy_hist = metrics.histogram('serve.batch.occupancy')
-    histogram: dict[int, int] = {}
-    for batch in batches:
-        histogram[batch.bucket] = histogram.get(batch.bucket, 0) + 1
-        occupancy_hist.observe(batch.occupancy)
+    occupancy_hist.observe_many(batch_sizes / buckets)
+    histogram = dict(zip(*(part.tolist() for part in np.unique(
+        buckets, return_counts=True))))
     metrics.counter('serve.samples.completed',
                     unit='samples').add(num_samples)
 
     return ServeStats(
-        num_requests=len(completions),
+        num_requests=num_completed,
         num_samples=num_samples,
-        num_batches=len(batches),
+        num_batches=num_batches,
         duration=duration,
-        throughput_rps=len(completions) / duration,
+        throughput_rps=num_completed / duration,
         throughput_sps=num_samples / duration,
         latency_p50_ms=latency_hist.percentile(50),
         latency_p95_ms=latency_hist.percentile(95),
         latency_p99_ms=latency_hist.percentile(99),
         latency_mean_ms=latency_hist.mean(),
         latency_max_ms=latency_hist.max(),
-        mean_batch_size=num_samples / max(1, len(batches)),
-        mean_occupancy=(occupancy_hist.mean() if batches else 0.0),
-        bucket_histogram=dict(sorted(histogram.items())),
+        mean_batch_size=num_samples / max(1, num_batches),
+        mean_occupancy=(occupancy_hist.mean() if num_batches else 0.0),
+        bucket_histogram=histogram,
         tokens_per_second=channels['num_decode_tokens'] / duration,
         **channels,
     )

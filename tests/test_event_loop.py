@@ -15,6 +15,7 @@ nothing, which :func:`test_noop_kill_does_not_end_an_outage_early` pins.
 import heapq
 import itertools
 import json
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import pytest
@@ -27,11 +28,64 @@ from repro.serve import (BatchingPolicy, DecodePolicy, DecodeSimulator,
                          FailureEvent, Fleet, FleetSimulator, ModelRegistry,
                          Request, ServerSimulator, decode_trace,
                          poisson_trace)
-from repro.serve.batcher import DynamicBatcher
+from repro.serve.batcher import Batch, DynamicBatcher
 from repro.serve.registry import RegisteredModel
 from repro.serve.simulator import (CompletedRequest, DecodedRequest,
-                                   DecodeResult, SimulationResult,
                                    _DecodeLane, _LiveRequest)
+
+
+# The result dataclasses the former loops returned, kept verbatim except
+# their ``stats`` folds, which the comparisons here never call: the results
+# the simulators return now hold their records as columns.
+
+
+@dataclass
+class SimulationResult:
+    """Everything a finished run produced.
+
+    ``completions`` hold every admitted request's lifecycle record;
+    ``rejected`` the requests admission control turned away at arrival
+    (empty unless the policy sets ``max_queue``); ``batches`` the dispatched
+    coalesced batches in dispatch order.
+    """
+
+    completions: list[CompletedRequest]
+    batches: list[Batch]
+    policy: BatchingPolicy
+    #: simulated seconds the GPU spent serving batches
+    busy_seconds: float = 0.0
+    #: arrivals turned away by admission control (policy.max_queue)
+    rejected: list[Request] = field(default_factory=list)
+
+
+@dataclass
+class DecodeResult:
+    """Everything a finished decode run produced (token granularity)."""
+
+    completions: list[DecodedRequest]
+    policy: DecodePolicy
+    continuous: bool
+    rejected: list[Request] = field(default_factory=list)
+    lost: list[Request] = field(default_factory=list)
+    busy_seconds: float = 0.0
+    num_decode_steps: int = 0
+    #: prompt tokens prefilled across every admitted request
+    num_prefill_tokens: int = 0
+    #: output tokens emitted, including by requests later lost to failure
+    num_decode_tokens: int = 0
+    #: decode steps priced with KV spilled past capacity (swap penalty paid)
+    kv_overflow_steps: int = 0
+    #: sum of per-step priced widths (mean width = this / steps)
+    width_step_sum: int = 0
+    num_requeued: int = 0
+    kv_peak_bytes: dict = field(default_factory=dict)      # lane label -> peak
+    kv_capacity_bytes: dict = field(default_factory=dict)  # lane label -> cap
+
+    @property
+    def mean_decode_width(self) -> float:
+        if self.num_decode_steps == 0:
+            return 0.0
+        return self.width_step_sum / self.num_decode_steps
 
 
 class ReferenceServerSimulator(ServerSimulator):
