@@ -50,6 +50,9 @@ class Columns:
         types.update(extra)
         self._cols = {name: (array(_TYPECODES[t]) if t in _TYPECODES
                              else []) for name, t in types.items()}
+        self._bind()
+
+    def _bind(self) -> None:
         columns = list(self._cols.values())
         self._first = columns[0]
         binds = ', '.join(f'append{i}' for i in range(len(columns)))
@@ -63,6 +66,14 @@ class Columns:
              f'    return append\n', scope)
         self.append = scope['bind'](self._first,
                                     *(column.append for column in columns))
+
+    # a copy binds its own appender to its own columns
+    def __getstate__(self):
+        return self.kind, self._cols
+
+    def __setstate__(self, state) -> None:
+        self.kind, self._cols = state
+        self._bind()
 
     def __getitem__(self, name: str):
         return self._cols[name]

@@ -10,8 +10,10 @@ records, the Chrome trace, the audit and the tallies.  The record views of
 the simulators' results are checked against the former event loops in
 ``test_event_loop.py``.
 """
+import copy
 import gc
 import json
+import pickle
 from collections import Counter
 from typing import Optional
 
@@ -507,6 +509,22 @@ def test_folds_skip_batches_lost_in_flight():
     assert stats.bucket_histogram == dict(sorted(
         Counter(batch.bucket for batch in batches).items()))
     assert sum(row['batches'] for row in result.per_replica()) == len(batches)
+
+
+def test_a_copied_result_owns_its_columns(registry):
+    """Pickling or copying a result copies its columns, and the copy's
+    generated appender writes to the copy's columns only."""
+    result = ServerSimulator(registry, BatchingPolicy(max_wait=1e-3)).run(
+        overload_trace(registry, 200))
+    recorded = len(result.record.done)
+    for copied in (copy.deepcopy(result), pickle.loads(pickle.dumps(result))):
+        assert copied.completions == result.completions
+        assert copied.batches == result.batches
+        assert copied.stats(registry) == result.stats(registry)
+        done = copied.record.done
+        assert done.append(Request(0, 'cnn', 1, 0.0), 0.0, 1.0, 1, 0,
+                           False) == recorded
+        assert len(result.record.done) == recorded
 
 
 # ---------------------------------------------------------------------------
