@@ -78,6 +78,10 @@ class Columns:
     def __getitem__(self, name: str):
         return self._cols[name]
 
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Columns) and self.kind is other.kind
+                and self._cols == other._cols)
+
     def __len__(self) -> int:
         return len(self._first)
 

@@ -103,6 +103,10 @@ class RunRecord:
         self.batches = Columns(Batch, 'requests', first=int, count=int)
         self.order = None
 
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, RunRecord) and self.done == other.done
+                and self.batches == other.batches)
+
     def close(self) -> None:
         """The run ended: order the completions for reading."""
         req_ids = [request.req_id for request in self.done['request']]

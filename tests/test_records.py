@@ -518,6 +518,7 @@ def test_a_copied_result_owns_its_columns(registry):
         overload_trace(registry, 200))
     recorded = len(result.record.done)
     for copied in (copy.deepcopy(result), pickle.loads(pickle.dumps(result))):
+        assert copied == result
         assert copied.completions == result.completions
         assert copied.batches == result.batches
         assert copied.stats(registry) == result.stats(registry)
@@ -525,6 +526,7 @@ def test_a_copied_result_owns_its_columns(registry):
         assert done.append(Request(0, 'cnn', 1, 0.0), 0.0, 1.0, 1, 0,
                            False) == recorded
         assert len(result.record.done) == recorded
+        assert copied != result
 
 
 # ---------------------------------------------------------------------------
