@@ -33,15 +33,9 @@ class Columns:
     followed by the ``extra`` columns, each given a type: ``float`` or
     ``int`` make an array column, anything else a list.  ``cols[name]`` is
     one column, to append to or to set one row of.
-
-    ``append(*row)`` adds one row, its values in column order, and returns
-    its index.  It is generated for the columns at hand, as
-    :mod:`dataclasses` generates ``__init__``: a replay appends a row per
-    request, and a loop over the columns costs about twice as much per
-    row.
     """
 
-    __slots__ = ('kind', '_cols', '_first', 'append')
+    __slots__ = ('kind', '_cols', '_columns', '_first')
 
     def __init__(self, kind, *derived: str, **extra):
         self.kind = kind
@@ -50,30 +44,16 @@ class Columns:
         types.update(extra)
         self._cols = {name: (array(_TYPECODES[t]) if t in _TYPECODES
                              else []) for name, t in types.items()}
-        self._bind()
+        # the columns, not their bound ``append``s: a deep copy must
+        # append to its own columns
+        self._columns = tuple(self._cols.values())
+        self._first = self._columns[0]
 
-    def _bind(self) -> None:
-        columns = list(self._cols.values())
-        self._first = columns[0]
-        binds = ', '.join(f'append{i}' for i in range(len(columns)))
-        params = ', '.join(f'v{i}' for i in range(len(columns)))
-        body = ''.join(f'        append{i}(v{i})\n'
-                       for i in range(len(columns)))
-        scope: dict = {}
-        exec(f'def bind(first, {binds}):\n'
-             f'    def append({params}):\n{body}'
-             f'        return len(first) - 1\n'
-             f'    return append\n', scope)
-        self.append = scope['bind'](self._first,
-                                    *(column.append for column in columns))
-
-    # a copy binds its own appender to its own columns
-    def __getstate__(self):
-        return self.kind, self._cols
-
-    def __setstate__(self, state) -> None:
-        self.kind, self._cols = state
-        self._bind()
+    def append(self, *row) -> int:
+        """Add one row, its values in column order; returns its index."""
+        for column, value in zip(self._columns, row):
+            column.append(value)
+        return len(self._first) - 1
 
     def __getitem__(self, name: str):
         return self._cols[name]

@@ -136,8 +136,10 @@ class Tracer:
 
     @property
     def instants(self) -> list[Instant]:
-        """Every point event, in recording order."""
-        return self._instants.rows()
+        """Every point event, in recording order (each with its own copy of
+        the recorded ``args``)."""
+        return self._instants.rows(
+            args=list(map(dict, self._instants['args'])))
 
     # -- recording (called by the simulators / batcher / autoscaler) ---------
 

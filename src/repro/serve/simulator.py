@@ -147,22 +147,57 @@ _arrival = attrgetter('arrival')
 _size = attrgetter('size')
 
 
-class _DispatchViews:
-    """The record views of a dynamic-batching run's result: each access
-    builds a new list from ``record``, so changing it changes nothing
-    recorded."""
+class _View(list):
+    """A record view a result handed out.  Editing it makes the result keep
+    it, so later reads return the edited list, as they did when results
+    held their records as lists; an unedited view is built anew on each
+    read and leaves nothing on the result.  Copies are plain lists."""
+
+    __slots__ = ('_result', '_name')
+
+    def __reduce_ex__(self, protocol):
+        return list, (list(self),)
+
+
+def _keeps(method):
+    def edit(self, *args, **kwargs):
+        vars(self._result)[self._name] = self
+        return method(self, *args, **kwargs)
+    return edit
+
+
+for _method in ('__setitem__', '__delitem__', '__iadd__', '__imul__',
+                'append', 'extend', 'insert', 'pop', 'remove', 'clear',
+                'sort', 'reverse'):
+    setattr(_View, _method, _keeps(getattr(list, _method)))
+
+
+class _RecordViews:
+    """Builds a result's record views from its ``record``; changing one
+    changes nothing recorded."""
+
+    def _view(self, name: str, build) -> list:
+        kept = vars(self).get(name)
+        if kept is None:
+            kept = _View(build())
+            kept._result, kept._name = self, name
+        return kept
+
+
+class _DispatchViews(_RecordViews):
+    """The record views of a dynamic-batching run's result."""
 
     @property
     def completions(self) -> list[CompletedRequest]:
         """Every admitted request's lifecycle record, by completion time
         then request id."""
-        return self.record.completions()
+        return self._view('_completions', self.record.completions)
 
     @property
     def batches(self) -> list[Batch]:
         """The dispatched coalesced batches that completed, in dispatch
         order."""
-        return self.record.batch_records()
+        return self._view('_batches', self.record.batch_records)
 
 
 @dataclass
@@ -464,7 +499,7 @@ class DecodedRequest:
 
 
 @dataclass
-class DecodeResult:
+class DecodeResult(_RecordViews):
     """Everything a finished decode run produced (token granularity).
 
     ``record`` holds the completion rows as columns; ``completions`` builds
@@ -493,8 +528,8 @@ class DecodeResult:
     @property
     def completions(self) -> list[DecodedRequest]:
         """Every completed request's record, by completion time then
-        request id; a new list on each access."""
-        return self.record.completions()
+        request id."""
+        return self._view('_completions', self.record.completions)
 
     @property
     def mean_decode_width(self) -> float:

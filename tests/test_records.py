@@ -13,7 +13,6 @@ the simulators' results are checked against the former event loops in
 import copy
 import gc
 import json
-import pickle
 from collections import Counter
 from typing import Optional
 
@@ -511,22 +510,45 @@ def test_folds_skip_batches_lost_in_flight():
     assert sum(row['batches'] for row in result.per_replica()) == len(batches)
 
 
-def test_a_copied_result_owns_its_columns(registry):
-    """Pickling or copying a result copies its columns, and the copy's
-    generated appender writes to the copy's columns only."""
-    result = ServerSimulator(registry, BatchingPolicy(max_wait=1e-3)).run(
+def test_a_result_keeps_an_edited_view(registry):
+    """A result builds its record views anew on each read but keeps one a
+    caller edited, so the edit shows on the next read, as it did when the
+    result held the lists.  The stats fold reads the columns and ignores
+    the edit, and a copy of a view is a plain list."""
+    server = ServerSimulator(registry, BatchingPolicy(max_wait=1e-3)).run(
         overload_trace(registry, 200))
-    recorded = len(result.record.done)
-    for copied in (copy.deepcopy(result), pickle.loads(pickle.dumps(result))):
-        assert copied == result
-        assert copied.completions == result.completions
-        assert copied.batches == result.batches
-        assert copied.stats(registry) == result.stats(registry)
-        done = copied.record.done
-        assert done.append(Request(0, 'cnn', 1, 0.0), 0.0, 1.0, 1, 0,
-                           False) == recorded
-        assert len(result.record.done) == recorded
-        assert copied != result
+    fleet_requests = fleet_trace(200)
+    fleet = failing_fleet(fleet_requests).run(fleet_requests)
+    decode_reqs = decode_requests(200)
+    decoded = decode_simulator(decode_reqs).run(decode_reqs)
+    for result, fold in ((server, lambda: server.stats(registry)),
+                         (fleet, fleet.stats), (decoded, decoded.stats)):
+        stats = fold()
+        completions = result.completions
+        assert completions == result.completions
+        assert completions is not result.completions
+        result.completions.pop()
+        assert result.completions == completions[:-1]
+        assert fold() == stats
+        assert type(copy.deepcopy(result.completions)) is list
+    for result in (server, fleet):
+        batches = result.batches
+        assert batches is not result.batches
+        del result.batches[0]
+        assert result.batches == batches[1:]
+
+
+def test_a_changed_view_changes_nothing_recorded():
+    """The tracer's views are copies: editing a record, an instant's
+    ``args`` included, leaves the record and its export as they were."""
+    tracer = Tracer()
+    tracer.arrival(Request(0, 'cnn', 1, 0.0), 0.0, replica=0)
+    tracer.instant('scale_up', 0.5, replica=0)
+    exported = json.dumps(tracer.chrome_trace())
+    tracer.request_spans[0].replica = 1
+    tracer.instants[0].args['replica'] = 1
+    assert tracer.instants[0].args == {'replica': 0}
+    assert json.dumps(tracer.chrome_trace()) == exported
 
 
 # ---------------------------------------------------------------------------
