@@ -219,32 +219,31 @@ class DynamicBatcher:
 
     # -- dispatch decision -----------------------------------------------------
 
-    def _eligible(self, model: str, now: float) -> bool:
-        queue = self._queues[model]
-        if not queue:
-            return False
-        if self._queued_samples[model] >= self.policy.max_batch:
-            return True
-        # same expression as next_deadline(), so a timer armed for the
-        # deadline always finds its queue eligible (float addition does not
-        # guarantee (a + w) - a >= w)
-        return queue[0].arrival + self.policy.max_wait <= now
-
     def pop_ready(self, now: float) -> Optional[Batch]:
         """Form the next batch due at ``now``, or None if nothing is ready.
 
         Among models whose queues are ready (full batch available, or the
         head request hit its wait deadline), the one with the oldest head
-        request dispatches first — FIFO fairness across co-hosted models.
+        request dispatches first — FIFO fairness across co-hosted models
+        (the first registered model wins equal arrivals).
         """
-        ready = [name for name in self._queues if self._eligible(name, now)]
-        if not ready:
+        max_batch, max_wait = self.policy.max_batch, self.policy.max_wait
+        model = oldest = None
+        for name, queue in self._queues.items():
+            if not queue or (model is not None
+                             and not queue[0].arrival < oldest):
+                continue
+            # next_deadline()'s expression, so a timer armed for the deadline
+            # finds its queue ready (float addition may give (a + w) - a < w)
+            if (self._queued_samples[name] >= max_batch
+                    or queue[0].arrival + max_wait <= now):
+                model, oldest = name, queue[0].arrival
+        if model is None:
             return None
-        model = min(ready, key=lambda name: self._queues[name][0].arrival)
         queue = self._queues[model]
         taken: list[Request] = []
         size = 0
-        while queue and size + queue[0].size <= self.policy.max_batch:
+        while queue and size + queue[0].size <= max_batch:
             request = queue.popleft()
             self._queued_samples[model] -= request.size
             taken.append(request)
@@ -254,10 +253,13 @@ class DynamicBatcher:
                      dispatch_time=now, size=size)
 
     def next_deadline(self) -> Optional[float]:
-        """Earliest head-of-line wait deadline across queues, or None."""
-        heads = [q[0].arrival + self.policy.max_wait
-                 for q in self._queues.values() if q]
-        return min(heads) if heads else None
+        """Earliest head-of-line wait deadline across queues, or None: the
+        oldest head's, as rounded addition is monotone."""
+        oldest = None
+        for queue in self._queues.values():
+            if queue and (oldest is None or queue[0].arrival < oldest):
+                oldest = queue[0].arrival
+        return None if oldest is None else oldest + self.policy.max_wait
 
 
 # ---------------------------------------------------------------------------

@@ -262,23 +262,25 @@ class KVCacheLedger:
         self.strict = strict
         self._committed: Dict[int, int] = {}   # req_id -> tokens resident
         self._headroom: Dict[int, int] = {}    # req_id -> tokens reserved ahead
+        # running sums of the two dicts, so no query walks the residents
+        self._committed_total = self._headroom_total = 0
         self._peak = 0
         self.trail: list = [] if record_trail else None
 
     # -- queries ----------------------------------------------------------
     @property
     def committed_tokens(self) -> int:
-        return sum(self._committed.values())
+        return self._committed_total
 
     @property
     def committed_bytes(self) -> int:
         """Bytes of KV actually resident (prompt + emitted tokens)."""
-        return self.committed_tokens * self.bytes_per_token
+        return self._committed_total * self.bytes_per_token
 
     @property
     def reserved_bytes(self) -> int:
         """Committed bytes plus admission-time headroom (the planning view)."""
-        return ((self.committed_tokens + sum(self._headroom.values()))
+        return ((self._committed_total + self._headroom_total)
                 * self.bytes_per_token)
 
     @property
@@ -336,7 +338,22 @@ class KVCacheLedger:
         self._guard(prompt_tokens + reserve_tokens, req_id)
         self._committed[req_id] = prompt_tokens
         self._headroom[req_id] = reserve_tokens
+        self._committed_total += prompt_tokens
+        self._headroom_total += reserve_tokens
         self._note(now)
+
+    def _grow(self, req_id: int, tokens: int) -> None:
+        """One request's growth: :meth:`extend` minus the peak and trail."""
+        if req_id not in self._committed:
+            raise KeyError(f'request {req_id} holds no KV here')
+        if tokens < 1:
+            raise ValueError(f'tokens must be >= 1, got {tokens}')
+        covered = min(tokens, self._headroom[req_id])
+        self._guard(tokens - covered, req_id)
+        self._headroom[req_id] -= covered
+        self._committed[req_id] += tokens
+        self._headroom_total -= covered
+        self._committed_total += tokens
 
     def extend(self, req_id: int, tokens: int = 1,
                now: Optional[float] = None) -> None:
@@ -346,28 +363,36 @@ class KVCacheLedger:
         past the reservation re-checks capacity (strict) or spills into
         :attr:`overflow_bytes` (unbounded).
         """
-        if req_id not in self._committed:
-            raise KeyError(f'request {req_id} holds no KV here')
-        if tokens < 1:
-            raise ValueError(f'tokens must be >= 1, got {tokens}')
-        covered = min(tokens, self._headroom[req_id])
-        self._guard(tokens - covered, req_id)
-        self._headroom[req_id] -= covered
-        self._committed[req_id] += tokens
+        self._grow(req_id, tokens)
         self._note(now)
+
+    def emit(self, req_ids: Iterable[int],
+             now: Optional[float] = None) -> None:
+        """One decode step: ``extend(req_id, 1, now)`` for each id in order,
+        but the peak is taken once, as committed KV only grows here."""
+        trail = self.trail if now is not None else None
+        try:
+            for req_id in req_ids:
+                self._grow(req_id, 1)
+                if trail is not None:
+                    trail.append((now, self.committed_bytes))
+        finally:
+            self._peak = max(self._peak, self.committed_bytes)
 
     def release(self, req_id: int, now: Optional[float] = None) -> int:
         """Drop a request's KV (EOS or failure); returns the tokens freed."""
         tokens = self._committed.pop(req_id, 0)
-        self._headroom.pop(req_id, None)
+        self._committed_total -= tokens
+        self._headroom_total -= self._headroom.pop(req_id, 0)
         self._note(now)
         return tokens
 
     def clear(self, now: Optional[float] = None) -> int:
         """Release every resident request (replica death); tokens freed."""
-        tokens = self.committed_tokens
+        tokens = self._committed_total
         self._committed.clear()
         self._headroom.clear()
+        self._committed_total = self._headroom_total = 0
         self._note(now)
         return tokens
 

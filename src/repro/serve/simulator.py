@@ -767,14 +767,15 @@ class DecodeSimulator(ReplicaEngine):
         lane = self.lanes[replica]
         if not lane.alive or lane.epoch != epoch:
             return                      # stale: the lane died mid-step
-        emitted = 0
+        emitting: list[int] = []
         for live in lane.active:
             if live.emitted < live.request.output_tokens:
                 live.emitted += 1
-                emitted += 1
-                lane.ledger.extend(live.request.req_id, 1, now=now)
+                emitting.append(live.request.req_id)
                 if live.first_token_time is None:
                     live.first_token_time = now
+        lane.ledger.emit(emitting, now=now)
+        emitted = len(emitting)
         self._result.num_decode_tokens += emitted
         self.telemetry.decode_step(
             now, lane.index, width=len(lane.active), tokens=emitted,
