@@ -11,10 +11,10 @@ import numpy as np
 from repro import repeat, spatial
 from repro.backend.codegen import generate_cuda
 from repro.backend.interpreter import run_kernel
-from repro.core.schedule import MatmulSchedule
 from repro.ir import FunctionBuilder, f32, thread_idx
 from repro.ir.passes import lower_task_mappings, simplify
 from repro.sched.matmul_template import build_matmul_module
+from repro.sched.schedule import MatmulSchedule
 
 
 def figure8_cooperative_load():

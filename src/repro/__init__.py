@@ -3,8 +3,12 @@ Deep Learning Tensor Programs (ASPLOS 2023).
 
 Public API highlights:
 
-* ``repro.core``: task mappings (``repeat``, ``spatial``, composition).
-* ``repro.ir``: the tensor-program IR and ``FunctionBuilder``.
+* ``repro.ir``: the tensor-program IR, ``FunctionBuilder`` and the task
+  mappings it lowers (``repro.ir.taskmap``: ``repeat``, ``spatial``,
+  composition; re-exported here).
+* ``repro.sched``: schedules, their hardware-centric spaces and the kernel
+  templates they instantiate.
+* ``repro.core``: the exhaustive matmul tuner (``repro.core.tuning``).
 * ``repro.graph``: computation graphs, operators, and ``trace`` helpers.
 * ``repro.models``: ResNet-50 / Inception-V3 / MobileNet-V2 / Bert / GPT-2.
 * ``repro.runtime``: the end-to-end compile pipeline (``optimize``, also
@@ -17,7 +21,8 @@ Public API highlights:
 """
 __version__ = '0.1.0'
 
-from .core import repeat, spatial, column_repeat, column_spatial, auto_map, TaskMapping
+from .ir.taskmap import (repeat, spatial, column_repeat, column_spatial, auto_map,
+                         TaskMapping)
 from .runtime import optimize
 
 __all__ = ['repeat', 'spatial', 'column_repeat', 'column_spatial', 'auto_map',

@@ -50,7 +50,7 @@ def _models():
 def _space_sample(count: int):
     """Evenly strided sample of the matmul space, plus split-k and
     single-buffer variants so every template path is covered."""
-    from ..core.space import matmul_schedule_space
+    from ..sched.space import matmul_schedule_space
     sample = []
     for kwargs in ({}, {'double_buffer': False}, {'split_k': 2}):
         space = matmul_schedule_space(**kwargs)
@@ -75,7 +75,7 @@ def matmul_template_modules(scheds):
 
 def reduce_template_modules():
     """The reduction template across its block sizes."""
-    from ..core.schedule import ReduceSchedule
+    from ..sched.schedule import ReduceSchedule
     from ..ir.compute import compute, reduce, tensor_input
     from ..ir.task import Task
     from ..sched.reduce_template import build_reduce_module
@@ -129,7 +129,7 @@ def lint_model(name: str, report: AnalysisReport, verbose: bool):
 def fixture_modules() -> list:
     """One seeded-bad module per failure class."""
     from . import fixtures
-    from ..core.space import matmul_schedule_space
+    from ..sched.space import matmul_schedule_space
     modules = [
         fixtures.build_oob_store_kernel(),
         fixtures.build_hole_mapping_kernel(),

@@ -19,6 +19,7 @@ from ..ir.func import Function, IRModule
 from ..ir.functor import collect_stmts
 from ..ir.passes import IRVerificationError, lower, verify_function
 from ..ir.stmt import ForTaskStmt
+from ..sched import matmul_template
 from .bounds import check_bounds
 from .coverage import check_coverage
 from .races import check_races
@@ -88,7 +89,6 @@ class ScheduleAnalyzer:
 
     def __init__(self, builder=None):
         if builder is None:
-            from ..sched import matmul_template
             builder = matmul_template.build_matmul_module
         self.builder = builder
         self._verdicts: dict = {}

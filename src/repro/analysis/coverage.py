@@ -15,8 +15,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from ..core.taskmap import (ComposedTaskMapping, RepeatTaskMapping,
-                            SpatialTaskMapping, TaskMapping)
+from ..ir.taskmap import (ComposedTaskMapping, RepeatTaskMapping,
+                          SpatialTaskMapping, TaskMapping)
 
 #: enumeration budget: max worker-task instances to expand for mappings that
 #: have no analytic verdict (customs); beyond this the verdict is 'unproven'

@@ -11,12 +11,13 @@ mutation the tuner gate rejects before measurement.
 """
 from __future__ import annotations
 
-from ..core.taskmap import CustomTaskMapping
 from ..ir.builders import FunctionBuilder
 from ..ir.expr import thread_idx
 from ..ir.func import IRModule
 from ..ir.functor import IRRewriter
 from ..ir.stmt import BarrierStmt, ForStmt, SeqStmt, seq_stmt
+from ..ir.taskmap import CustomTaskMapping
+from ..sched import matmul_template
 
 
 def build_oob_store_kernel(block: int = 64) -> IRModule:
@@ -131,8 +132,6 @@ def poisoned_matmul_builder(bad_sched):
     stripped — so the analyzer must reject exactly that candidate and the
     tuning outcome must be byte-identical to an un-poisoned run.
     """
-    from ..sched import matmul_template
-
     def build(m, n, k, sched, name='matmul', batch=1):
         module = matmul_template.build_matmul_module(m, n, k, sched,
                                                      name=name, batch=batch)

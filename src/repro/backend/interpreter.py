@@ -30,6 +30,7 @@ from ..ir.expr import (PY_UNARY, BinaryExpr, BlockIndex, Call, Cast, Constant,
                        Expr, IfThenElse, TensorElement, ThreadIndex, UnaryExpr,
                        Var)
 from ..ir.func import Function
+from ..ir.functor import collect
 from ..ir.stmt import (AssignStmt, BarrierStmt, BufferStoreStmt, DeclareStmt,
                        EvaluateStmt, ForStmt, ForTaskStmt, IfStmt, LetStmt,
                        SeqStmt, Stmt)
@@ -347,7 +348,6 @@ class KernelInterpreter:
 
 
 def _has_for_task(stmt: Stmt) -> bool:
-    from ..ir.functor import collect
     return len(collect(stmt, ForTaskStmt)) > 0
 
 

@@ -24,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ..ir import (BlockIndex, Expr, Function, Stmt, ThreadIndex, Var, convert,
-                  substitute, var as make_var)
+from ..ir import (BinaryExpr, BlockIndex, Expr, Function, Stmt, ThreadIndex, Var,
+                  convert, stmt_repr, substitute, var as make_var)
 from ..ir.builders import FunctionBuilder
 from ..ir.compute import ReduceCompute, TensorInput
 from ..ir.functor import collect
@@ -167,7 +167,6 @@ class LoopSchedule:
 
     def program_text(self) -> str:
         """Loop-nest pseudo-code (used to render Table 1)."""
-        from ..ir.tools import stmt_repr
         lines = []
         indent = 0
         for loop in self.loops:
@@ -212,7 +211,6 @@ def create_default_program(task: Task, name: Optional[str] = None) -> LoopSchedu
             update = TensorUpdate = BufferStoreStmt(
                 out_param, out_idx, out_param[tuple(out_idx)] + element)
         else:
-            from ..ir.expr import BinaryExpr
             update = BufferStoreStmt(
                 out_param, out_idx,
                 BinaryExpr(reduce_node.op, out_param[tuple(out_idx)], element))

@@ -23,7 +23,7 @@ from .frameworks import LibraryBackedExecutor
 from .kernel_library import _GEMM_MENU
 from .tiling import tiled_matmul_stats
 from ..graph.flow_graph import FlowGraph
-from ..graph.ops.matmul import BatchMatmulOp
+from ..graph.ops.matmul import BatchMatmulOp, MatmulOp
 from ..graph.ops.reduce import ReduceLastAxisOp
 from ..graph.passes.fuse_partition import FusedGroup
 from ..gpusim.stats import KernelStats, OVERLAP_DOUBLE_BUFFER
@@ -111,7 +111,6 @@ class TensorRTLike(LibraryBackedExecutor):
         if handled:
             return fused      # None -> folded into the attention kernel (free)
         op = group.anchor
-        from ..graph.ops.matmul import MatmulOp
         epilogue_bytes = self._epilogue_bytes(group)
         if isinstance(op, MatmulOp):
             m, k = op.inputs[0].shape

@@ -1,10 +1,2 @@
-"""The paper's primary contribution: task mappings, layouts, schedules, spaces."""
-from .taskmap import (TaskMapping, RepeatTaskMapping, SpatialTaskMapping,
-                      ComposedTaskMapping, CustomTaskMapping,
-                      repeat, spatial, column_repeat, column_spatial, auto_map)
-
-__all__ = [
-    'TaskMapping', 'RepeatTaskMapping', 'SpatialTaskMapping',
-    'ComposedTaskMapping', 'CustomTaskMapping',
-    'repeat', 'spatial', 'column_repeat', 'column_spatial', 'auto_map',
-]
+"""The exhaustive matmul tuner over hardware-centric schedule spaces
+(``repro.core.tuning``)."""

@@ -24,12 +24,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .schedule import MatmulSchedule
-from .space import matmul_schedule_space, split_k_candidates
 from ..gpusim.clock import SimulatedClock, TuningCosts
 from ..gpusim.device import DeviceSpec, RTX3090
 from ..gpusim.perfmodel import PerfModel
 from ..sched import matmul_template
+from ..sched.schedule import MatmulSchedule
+from ..sched.space import matmul_schedule_space, split_k_candidates
 
 __all__ = ['TuningResult', 'MatmulTuner', 'HIDET_TUNING_COSTS']
 
@@ -254,11 +254,11 @@ class MatmulTuner:
         # enumeration (and one clock charge); each caller's own split-k
         # decision metadata is restored on the way out.  Guided and
         # exhaustive tunes key separately: a guided result is not
-        # necessarily the exhaustive optimum.
+        # necessarily the exhaustive optimum.  The analyzer itself is in the
+        # key (an ``id`` can be reused once its object is collected).
         key = (m, n, k, batch, None if space is None else tuple(space),
                try_split_k, round(extra_read_bytes), round(extra_write_bytes),
-               cost_model is not None,
-               None if analyzer is None else id(analyzer))
+               cost_model is not None, analyzer)
         if key in self._cache:
             return replace(self._cache[key], tuning_seconds=0.0,
                            num_measured=0,

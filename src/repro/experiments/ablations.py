@@ -14,11 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..baselines import Ansor
-from ..core.space import matmul_schedule_space
 from ..core.tuning import MatmulTuner
 from ..graph.flow_graph import FlowGraph
 from ..gpusim.device import RTX3090
 from ..runtime import HidetExecutor
+from ..sched.space import matmul_schedule_space
 
 __all__ = ['double_buffer_ablation', 'split_k_ablation', 'fusion_ablation',
            'space_ablation']

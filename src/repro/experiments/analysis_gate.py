@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 from ..analysis import ScheduleAnalyzer
 from ..analysis.fixtures import poisoned_matmul_builder
-from ..core.schedule import MatmulSchedule
-from ..core.space import matmul_schedule_space
 from ..core.tuning import MatmulTuner
+from ..sched.schedule import MatmulSchedule
+from ..sched.space import matmul_schedule_space
 
 __all__ = ['AnalysisGateResult', 'run_analysis_gate', 'format_analysis_gate']
 

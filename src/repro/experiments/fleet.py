@@ -33,8 +33,8 @@ from ..serve import (BATCH_OVERHEAD_SECONDS, BatchingSpec, CacheSpec,
                      Deployment, DeploymentSpec, FailureSpec, Fleet,
                      MemoryOverflowError, ModelRegistry, ModelSpec,
                      PlacementSpec, ReplicaGroupSpec, ServeStats,
-                     footprint_from_graphs, format_bytes, poisson_trace,
-                     register_device)
+                     available_devices, footprint_from_graphs, format_bytes,
+                     poisson_trace, register_device, resolve_device)
 from .serving import FULL_MODELS, _zoo_builder
 
 __all__ = ['FLEET_SMOKE_MODELS', 'PlacementReport', 'run_placement_comparison',
@@ -68,7 +68,6 @@ def _device_name(device: DeviceSpec) -> str:
     gets a derived unique one instead of colliding with the registered
     original.
     """
-    from ..serve import available_devices, resolve_device
     suffix = 0
     while True:
         name = device.name if suffix == 0 else f'{device.name}@{suffix}'

@@ -9,7 +9,7 @@ divisor-constrained tiles).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -17,6 +17,7 @@ from ..baselines import Ansor, AutoTVM, contraction_dims_of_conv
 from ..core.tuning import MatmulTuner
 from ..gpusim.device import RTX3090
 from ..obs import percentile
+from ..sched.space import matmul_schedule_space, split_k_candidates
 
 __all__ = ['DIST_WORKLOAD', 'run_schedule_distribution', 'format_schedule_distribution']
 
@@ -52,8 +53,6 @@ def run_schedule_distribution(workload=DIST_WORKLOAD) -> DistributionResult:
 
     # Hidet: the entire hardware-centric space; parallel-k is part of every
     # schedule (§6.3.4), so each base point takes its best split factor
-    from dataclasses import replace
-    from ..core.space import matmul_schedule_space, split_k_candidates
     tuner = MatmulTuner(RTX3090)
     factors = split_k_candidates(m, n, k, RTX3090)
     hidet = []

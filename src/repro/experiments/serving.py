@@ -23,9 +23,12 @@ import tempfile
 from dataclasses import dataclass
 from typing import Optional
 
+from ..gpusim import DecodeCostModel
+from ..models import for_batch, gpt2_kv_bytes_per_token
 from ..serve import (BATCH_OVERHEAD_SECONDS, BatchingPolicy, DecodePolicy,
                      DecodeSimulator, ModelRegistry, ServerSimulator,
                      ServeStats, bursty_trace, decode_trace,
+                     footprint_from_graphs, format_bytes,
                      format_serving_report, poisson_trace)
 
 __all__ = ['ServingReport', 'run_serving', 'run_qps_sweep', 'QpsPoint',
@@ -76,8 +79,6 @@ def _zoo_builder(name: str, kwargs: dict, built: dict):
     registries of :func:`run_serving` skip rebuilds while still compiling
     through the disk-persisted schedule cache (the claim under test).
     """
-    from ..models import for_batch
-
     def build(b: int):
         key = (name, b)
         if key not in built:
@@ -243,11 +244,8 @@ def decode_cost_model(registry: ModelRegistry, model: str, seq_length: int,
     width bucket's per-token share (see :mod:`repro.gpusim.decode`).
     Weights are measured from ``graph`` (the model's batch-1 graph; rebuilt
     from the zoo when omitted)."""
-    from ..gpusim import DecodeCostModel
-    from ..serve.memory import footprint_from_graphs
     registered = registry[model]
     if graph is None:
-        from ..models import for_batch
         graph = for_batch(model, 1)
     weights = footprint_from_graphs(model, {1: graph}).weights_bytes
     return DecodeCostModel(
@@ -274,8 +272,6 @@ def run_decode_serving(num_requests: int = 400, buckets=(1, 2, 4, 8),
     test stay the full model's.  ``telemetry`` records the headline
     continuous run only (the other three replay the same request ids).
     """
-    from ..models import gpt2_kv_bytes_per_token
-
     config = DECODE_SMOKE_CONFIG if smoke else DECODE_FULL_CONFIG
     buckets = tuple(sorted(set(buckets)))
     seq_length = config.get('seq_length', 128)
@@ -319,7 +315,6 @@ def run_decode_serving(num_requests: int = 400, buckets=(1, 2, 4, 8),
 
 
 def format_decode_report(report: DecodeReport) -> str:
-    from ..serve.memory import format_bytes
     lines = [
         'Decode serving: continuous vs request-level batching, KV admission',
         f'  gpt2 buckets {list(report.buckets)}, offered {report.qps:.0f} '

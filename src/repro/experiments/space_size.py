@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from .common import geomean
 from ..baselines.input_space import (ConvWorkload, autotvm_conv_space_size,
                                      resnet50_conv_workloads)
-from ..core.space import matmul_schedule_space
+from ..sched.space import matmul_schedule_space
 
 __all__ = ['SpaceSizeRow', 'run_space_sizes', 'format_space_sizes']
 

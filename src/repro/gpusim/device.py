@@ -72,7 +72,7 @@ def device_family_key(device: DeviceSpec) -> tuple:
     re-measurement on the local device handles, not which candidates exist.
     Per-candidate differences inside a family (e.g. a schedule whose shared
     memory tile exceeds a smaller device's per-block limit) are caught by
-    :meth:`~repro.core.schedule.MatmulSchedule.is_valid` at transfer time.
+    :meth:`~repro.sched.schedule.MatmulSchedule.is_valid` at transfer time.
     """
     return (device.warp_size, device.max_threads_per_block,
             device.max_registers_per_thread)

@@ -19,8 +19,8 @@ from ..expr import Expr, convert, var as make_var
 from ..functor import IRRewriter
 from ..stmt import ForStmt, ForTaskStmt, Stmt, seq_stmt
 from ..tools import substitute
-from ...core.taskmap import (TaskMapping, RepeatTaskMapping, SpatialTaskMapping,
-                             ComposedTaskMapping, CustomTaskMapping)
+from ..taskmap import (TaskMapping, RepeatTaskMapping, SpatialTaskMapping,
+                       ComposedTaskMapping, CustomTaskMapping)
 
 __all__ = ['lower_task_mappings', 'UNROLL_LIMIT']
 

@@ -91,7 +91,7 @@ class ForTaskStmt(Stmt):
     """``for <loop_vars> in mapping(worker): body`` — the task-mapping loop.
 
     This is the construct at the heart of the paradigm: ``mapping`` is a
-    :class:`~repro.core.taskmap.TaskMapping` assigning a grid of tasks to
+    :class:`~repro.ir.taskmap.TaskMapping` assigning a grid of tasks to
     workers, ``worker`` is the worker index expression (e.g. ``threadIdx.x``),
     and the body is executed once per task assigned to that worker with
     ``loop_vars`` bound to the task indices.  The ``lower_task_mapping`` pass

@@ -71,13 +71,13 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
-from ..core.schedule import MatmulSchedule, ReduceSchedule, schedule_fields
 from ..gpusim.device import DeviceSpec, device_family_key
 from ..ir.compute import GridCompute, ReduceCompute, TensorInput
 from ..ir.expr import (BinaryExpr, BlockIndex, Call, Cast, Constant, Expr,
                        IfThenElse, TensorElement, ThreadIndex, Var)
 from ..ir.task import Task
 from ..sched.fusion import FusedTaskSpec
+from ..sched.schedule import MatmulSchedule, ReduceSchedule, schedule_fields
 
 __all__ = ['CACHE_FORMAT_VERSION', 'LOG_FORMAT_VERSION', 'ScheduleCache',
            'CacheEntry', 'MeasurementRecord', 'compact_log',

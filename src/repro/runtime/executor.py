@@ -30,9 +30,6 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from ..core.schedule import MatmulSchedule, ReduceSchedule
-from ..core.space import (matmul_schedule_space, reduce_schedule_space,
-                          split_k_candidates)
 from ..core.tuning import MatmulTuner, HIDET_TUNING_COSTS
 from ..graph.flow_graph import FlowGraph
 # the executor lowers convs inside ``fold_constants(graph, lower_convs=True)``;
@@ -50,6 +47,9 @@ from ..sched import matmul_template
 from ..sched.fusion import apply_fusion
 from ..sched.reduce_template import build_reduce_module, is_last_axis_reduction, reduce_stats
 from ..sched.rule_based import build_rule_based_module, rule_based_stats
+from ..sched.schedule import MatmulSchedule, ReduceSchedule
+from ..sched.space import (matmul_schedule_space, reduce_schedule_space,
+                           split_k_candidates)
 from .cache import (MeasurementRecord, ScheduleCache, default_schedule_cache,
                     fusion_fingerprint, space_fingerprint,
                     task_device_family_signature, task_family_signature,

@@ -1,7 +1,7 @@
 """Template-based scheduling of matrix multiplication (paper §2.2, §5.1).
 
 The template is a tensor program written with *parameterized task mappings*;
-a :class:`~repro.core.schedule.MatmulSchedule` instantiates it.  The
+a :class:`~repro.sched.schedule.MatmulSchedule` instantiates it.  The
 structure mirrors the paper's Figures 2/3 (single-buffered) and Figure 5
 (double-buffered):
 
@@ -29,8 +29,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.schedule import MatmulSchedule
-from ..core.taskmap import auto_map, repeat, spatial
 from ..gpusim.arith import ARRAY, EXACT_INT_LIMIT, SCALAR, Ops
 from ..gpusim.device import DeviceSpec, RTX3090
 from ..gpusim.perfmodel import PerfModel
@@ -40,6 +38,8 @@ from ..ir import (FunctionBuilder, Function, IRModule, f32, thread_idx, block_id
                   if_then_else, logical_and, min_expr, Var, convert)
 from ..ir.compute import compute, reduce, tensor_input
 from ..ir.task import Task
+from ..ir.taskmap import auto_map, repeat, spatial
+from .schedule import MatmulSchedule
 
 __all__ = ['matmul_task', 'build_matmul_module', 'matmul_stats',
            'matmul_stats_batch', 'matmul_work_terms', 'ScheduleColumns',

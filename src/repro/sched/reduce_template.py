@@ -14,15 +14,15 @@ from __future__ import annotations
 
 import math
 
-from ..core.schedule import ReduceSchedule
-from ..core.taskmap import repeat, spatial
 from ..gpusim.stats import KernelStats, OVERLAP_NONE
 from ..ir import (FunctionBuilder, IRModule, Var, block_idx, f32, if_then_else,
-                  thread_idx)
+                  substitute, thread_idx)
 from ..ir.compute import ReduceCompute, TensorInput
 from ..ir.functor import collect
 from ..ir.task import Task
+from ..ir.taskmap import repeat, spatial
 from .lower_compute import lower_compute_expr, ComputeLoweringError
+from .schedule import ReduceSchedule
 
 __all__ = ['build_reduce_module', 'reduce_stats', 'is_last_axis_reduction']
 
@@ -81,7 +81,6 @@ def build_reduce_module(task: Task, sched: ReduceSchedule,
     with fb.for_task(phase1, worker=tid, names=('rk',)) as rk:
         mapping = dict(axis_values)
         mapping[k_axis] = rk
-        from ..ir.tools import substitute
         element = lower_compute_expr(substitute(reduce_node.value, mapping), bindings)
         guarded = if_then_else(rk < cols, element, float(reduce_node.init_value))
         fb.assign(acc, reduce_node.combine(acc, guarded))

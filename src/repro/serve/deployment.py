@@ -40,8 +40,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from ..gpusim.device import A100, LAPTOP_GPU, RTX3090, DeviceSpec
+from ..models import MODEL_BUILDERS, for_batch
 from ..obs import Telemetry
-from .batcher import BatchingPolicy
+from ..tune import RidgeCostModel, run_tuning_service
+from .batcher import ADMISSION_POLICIES, BatchingPolicy
 from .fleet import Fleet, FleetResult, FleetSimulator, format_fleet_report
 from .lifecycle import (Autoscaler, AutoscalerConfig, FailureEvent,
                         FailureInjector, available_autoscale_policies,
@@ -592,7 +594,6 @@ class DeploymentSpec:
 
     def _validate_decode(self, decode: DecodeSpec, path: str) -> None:
         """The decode rules that look up a registry or span fields."""
-        from .batcher import ADMISSION_POLICIES
         if decode.admission not in ADMISSION_POLICIES:
             raise SpecValidationError(
                 f'{path}.admission',
@@ -864,7 +865,6 @@ class Deployment:
                             f'(spec has {sorted(m.name for m in spec.models)})')
         # fail fast on unbuildable models too: a misspelled zoo name must
         # surface here, not as a KeyError mid-compile
-        from ..models import MODEL_BUILDERS
         for i, model in enumerate(spec.models):
             if (model.name not in self.builders
                     and model.name not in MODEL_BUILDERS):
@@ -885,7 +885,6 @@ class Deployment:
         if model.name in self.builders:
             return self.builders[model.name]
         if model.config:
-            from ..models import for_batch
             name, config = model.name, dict(model.config)
             return lambda b: for_batch(name, b, **config)
         return None                      # registry default: plain zoo model
@@ -898,8 +897,6 @@ class Deployment:
         bill is paid by ``cache.tuning_workers`` simulated workers sharing
         the record log instead of serially by the first replica to compile.
         """
-        from ..models import for_batch
-        from ..tune import RidgeCostModel, run_tuning_service
         cache = self.spec.cache
         for device in dict.fromkeys(devices):
             named_graphs = []
@@ -1031,7 +1028,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SpecValidationError as exc:
         print(f'invalid: {args.validate}: {exc}', file=sys.stderr)
         return 1
-    from ..models import MODEL_BUILDERS
     non_zoo = sorted(m.name for m in spec.models
                      if m.name not in MODEL_BUILDERS)
     print(f'OK: {args.validate}: {len(spec.models)} model(s) over '

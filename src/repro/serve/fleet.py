@@ -38,7 +38,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
+from ..gpusim.decode import DecodeCostModel
 from ..gpusim.device import DeviceSpec
+from ..models import for_batch
 from ..obs import NULL_TELEMETRY, Telemetry, percentile
 from ..runtime.cache import ScheduleCache
 from .batcher import Batch, BatchingPolicy, DynamicBatcher
@@ -46,8 +48,8 @@ from .lifecycle import Autoscaler, FailureEvent, LifecycleEvent
 from .memory import MemoryModel, footprint_from_graphs, format_bytes
 from .placement import PlacementPolicy, RoundRobinPlacement
 from .registry import ModelRegistry, RegisteredModel, model_ladder
-from .simulator import (BATCH_OVERHEAD_SECONDS, DispatchEngine, RunRecord,
-                        _DispatchViews)
+from .simulator import (BATCH_OVERHEAD_SECONDS, DecodeSimulator,
+                        DispatchEngine, RunRecord, _DispatchViews)
 from .stats import ServeStats, compute_stats, format_serving_report
 from .trace import Request
 
@@ -213,7 +215,6 @@ class Fleet:
             else:
                 builder = spec.builder
                 if builder is None:
-                    from ..models import for_batch
                     builder = lambda b, _n=name: for_batch(_n, b)  # noqa: E731
                 graphs = {b: builder(b)
                           for b in model_ladder(spec.max_batch, spec.buckets)}
@@ -418,8 +419,6 @@ class Fleet:
         :class:`~repro.serve.batcher.DecodePolicy`.  ``failures`` and
         ``joins`` are forwarded to the simulator's lifecycle channel.
         """
-        from ..gpusim.decode import DecodeCostModel
-        from .simulator import DecodeSimulator
         self.build()
         hosts = self.hosts(model)
         first = self.replicas[hosts[0]]

@@ -24,9 +24,11 @@ from typing import Callable, Optional, Sequence
 from ..graph.flow_graph import FlowGraph
 from ..gpusim.clock import SimulatedClock
 from ..gpusim.device import DeviceSpec, RTX3090
+from ..models import for_batch
 from ..runtime.cache import ScheduleCache
 from ..runtime.compiled import CompiledGraph
 from ..runtime.executor import HidetExecutor
+from ..tune import RidgeCostModel
 from .batcher import smallest_covering_bucket
 from .memory import MemoryModel, ModelFootprint, footprint_from_graphs, \
     graph_tensor_bytes
@@ -186,7 +188,6 @@ class ModelRegistry:
         #: including warmed-in records from previous deployments' logs
         self.cost_model = None
         if cost_model:
-            from ..tune import RidgeCostModel
             self.cost_model = RidgeCostModel(device).bind(self.cache)
         self.executor = HidetExecutor(
             device, clock=self.clock, cache=self.cache,
@@ -218,7 +219,6 @@ class ModelRegistry:
         if name in self.models:
             raise ValueError(f'model {name!r} is already registered')
         if builder is None:
-            from ..models import for_batch
             builder = lambda b: for_batch(name, b)   # noqa: E731
         ladder = model_ladder(max_batch, buckets)
         footprint: Optional[ModelFootprint] = None

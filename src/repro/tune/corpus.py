@@ -18,11 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ..core.space import matmul_schedule_space
 from ..core.tuning import HIDET_TUNING_COSTS, MatmulTuner
 from ..gpusim.clock import SimulatedClock
 from ..gpusim.device import DeviceSpec, RTX3090
 from ..runtime.cache import MeasurementRecord, ScheduleCache
+from ..sched.space import matmul_schedule_space
 
 __all__ = ['DEFAULT_SEED_PROBLEMS', 'SeedReport', 'seed_cost_model']
 

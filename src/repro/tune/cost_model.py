@@ -32,8 +32,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..core.schedule import MatmulSchedule, schedule_fields
 from ..gpusim.device import DeviceSpec, RTX3090
+from ..sched.schedule import MatmulSchedule, schedule_fields
 from .features import FEATURE_NAMES, featurize
 
 __all__ = ['RidgeCostModel']

@@ -1,6 +1,6 @@
 """Schedule featurization for the learned cost model.
 
-A candidate :class:`~repro.core.schedule.MatmulSchedule` applied to a
+A candidate :class:`~repro.sched.schedule.MatmulSchedule` applied to a
 concrete problem becomes a fixed-width numeric vector.  The features are
 deliberately *model-shaped* rather than raw: they are the quantities the
 analytic performance model (:mod:`repro.gpusim.perfmodel`) says matter —
@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import math
 
-from ..core.schedule import MatmulSchedule
 from ..gpusim.device import DeviceSpec, RTX3090
 from ..gpusim.occupancy import OCCUPANCY_FEATURE_NAMES, occupancy_features
 from ..sched.matmul_template import matmul_stats
+from ..sched.schedule import MatmulSchedule
 
 __all__ = ['FEATURE_NAMES', 'featurize']
 

@@ -1,4 +1,5 @@
 """Static analyzer: bounds, coverage, races, and the compile/tuning gates."""
+import gc
 import math
 from collections import Counter
 
@@ -14,16 +15,16 @@ from repro.analysis.fixtures import (build_duplicate_writer_kernel,
                                      build_oob_store_kernel,
                                      poisoned_matmul_builder,
                                      strip_loop_barrier)
-from repro.core.schedule import MatmulSchedule, ReduceSchedule
-from repro.core.space import matmul_schedule_space
-from repro.core.taskmap import (ComposedTaskMapping, CustomTaskMapping,
-                                repeat, spatial)
 from repro.core.tuning import MatmulTuner
 from repro.ir.compute import compute, reduce, tensor_input
 from repro.ir.intervals import Interval
 from repro.ir.task import Task
+from repro.ir.taskmap import (ComposedTaskMapping, CustomTaskMapping,
+                              repeat, spatial)
 from repro.sched.matmul_template import build_matmul_module
 from repro.sched.reduce_template import build_reduce_module
+from repro.sched.schedule import MatmulSchedule, ReduceSchedule
+from repro.sched.space import matmul_schedule_space
 
 SMALL = MatmulSchedule(block_warps=(1, 1), warp_outer=(1, 1), thread_layout=(4, 8),
                        thread_tile=(4, 4), block_k=8, double_buffer=False)
@@ -282,6 +283,31 @@ class TestTunerGate:
         with pytest.raises(RuntimeError, match='reject'):
             MatmulTuner().tune(64, 64, 64, space=_small_space(),
                                try_split_k=False, analyzer=RejectAll())
+
+    def test_collected_analyzer_result_not_reused(self):
+        # a new analyzer at a collected one's address gets its own screen
+        class Screen:
+            def __init__(self, rejected):
+                self.rejected = rejected
+
+            def reject(self, m, n, k, sched, batch=1):
+                return 'unsafe (test stub)' if sched in self.rejected else None
+
+        space = _small_space()
+        tuner = MatmulTuner()
+        first = Screen(set(space[::2]))
+        stale = id(first)
+        assert tuner.tune(64, 64, 64, space=space, try_split_k=False,
+                          analyzer=first).analysis_rejected == 3
+        del first
+        gc.collect()
+        fresh = [Screen(set())]
+        while id(fresh[-1]) != stale and len(fresh) < 1000:
+            fresh.append(Screen(set()))
+        result = tuner.tune(64, 64, 64, space=space, try_split_k=False,
+                            analyzer=fresh[-1])
+        assert result.analysis_rejected == 0
+        assert result.tuning_seconds > 0
 
     def test_schedule_analyzer_caches_verdicts(self):
         analyzer = ScheduleAnalyzer()

@@ -3,10 +3,10 @@ import numpy as np
 import pytest
 
 from repro.backend.codegen import generate_cuda, generate_cuda_module
-from repro.core.schedule import MatmulSchedule
 from repro.ir import FunctionBuilder, f32, if_then_else, thread_idx
 from repro.ir.primitives import atomic_add
 from repro.sched.matmul_template import build_matmul_module
+from repro.sched.schedule import MatmulSchedule
 
 SMALL = MatmulSchedule(block_warps=(1, 1), warp_outer=(1, 1), thread_layout=(4, 8),
                        thread_tile=(4, 4), block_k=8, double_buffer=False)
@@ -100,7 +100,7 @@ class TestMatmulKernels:
 
     def test_for_task_must_be_lowered_first(self):
         from repro.backend.codegen import CudaCodegen
-        from repro.core.taskmap import spatial
+        from repro.ir.taskmap import spatial
         fb = FunctionBuilder('k', block_dim=4)
         a = fb.tensor_param('A', f32, [4])
         with fb.for_task(spatial(4), worker=thread_idx()) as i:

@@ -4,13 +4,13 @@ device-family transfer tier, and admission control.
 import numpy as np
 import pytest
 
-from repro.core.schedule import MatmulSchedule
-from repro.core.space import matmul_schedule_space
-from repro.graph import ops, symbol, trace
 from repro.gpusim.device import (A100, LAPTOP_GPU, RTX3090, DeviceSpec,
                                  device_family_key)
+from repro.graph import ops, symbol, trace
 from repro.models.common import WeightFactory, conv_bn_relu, linear
 from repro.runtime import HidetExecutor, ScheduleCache
+from repro.sched.schedule import MatmulSchedule
+from repro.sched.space import matmul_schedule_space
 from repro.serve import (BatchingPolicy, DynamicBatcher, Fleet, FleetSimulator,
                          LeastLoadedPlacement, ModelAffinePlacement,
                          ModelRegistry, Request, RoundRobinPlacement,

@@ -3,13 +3,13 @@ import numpy as np
 import pytest
 
 from repro.backend.interpreter import run_kernel
-from repro.core.schedule import MatmulSchedule
 from repro.ir.compute import compute, reduce, tensor_input
 from repro.ir.task import InverseMap, Task, identity_inverse_map
 from repro.sched.fusion import (EpilogueStep, FusedTaskSpec, FusionError,
                                 apply_fusion)
 from repro.sched.matmul_template import build_matmul_module, matmul_task
 from repro.sched.rule_based import build_rule_based_module
+from repro.sched.schedule import MatmulSchedule
 
 SMALL_DB = MatmulSchedule(block_warps=(1, 1), warp_outer=(1, 1), thread_layout=(4, 8),
                           thread_tile=(4, 4), block_k=8, double_buffer=True)

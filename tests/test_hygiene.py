@@ -1,15 +1,23 @@
-"""Source hygiene: no module under ``src/repro`` imports a name it never uses.
+"""Source hygiene: imports, packaging and the names the docs refer to.
 
-An ``ast``-only scan, so it needs no lint package.  A module-level import
-counts as used when its bound name appears as a name anywhere in the
-module (annotations included, also when written as strings) or is listed
-in ``__all__``.  A line marked ``# noqa`` is skipped: use it for an import
-kept for its side effect or as a deliberate re-export.
+* No module under ``src/repro`` imports a name it never uses.  An
+  ``ast``-only scan, so it needs no lint package.  A module-level import
+  counts as used when its bound name appears as a name anywhere in the
+  module (annotations included, also when written as strings) or is listed
+  in ``__all__``.  A line marked ``# noqa`` is skipped: use it for an import
+  kept for its side effect or as a deliberate re-export.
+* Every package imports only packages on a lower layer, in the order the
+  marked block of ``docs/architecture.md`` states once.
+* ``find_packages`` ships every source directory.
+* Every dotted ``repro.…`` name in the sources, docs and examples resolves.
 """
 import ast
+import importlib
 import pathlib
+import re
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / 'src' / 'repro'
+REPO = pathlib.Path(__file__).resolve().parents[1]
+SRC = REPO / 'src' / 'repro'
 
 
 def _bound_names(node):
@@ -80,3 +88,114 @@ def test_no_unused_imports():
     found = [hit for path in sorted(SRC.rglob('*.py'))
              for hit in unused_imports(path)]
     assert not found, 'unused imports:\n' + '\n'.join(found)
+
+
+# -- layers -------------------------------------------------------------------
+
+def layer_order() -> dict:
+    """package -> layer index, from the marked block in docs/architecture.md."""
+    text = (REPO / 'docs' / 'architecture.md').read_text()
+    block = text.split('<!-- layer-order -->')[1].split('<!-- /layer-order -->')[0]
+    body = block.replace('```text', '').replace('```', '')
+    return {package.strip(): level
+            for level, layer in enumerate(body.split('<'))
+            for package in layer.split(',')}
+
+
+def imported_modules(path: pathlib.Path, node) -> list:
+    """Absolute names of the modules (or module attributes) an import reads."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if node.level == 0:
+        return [node.module]
+    package = path.relative_to(SRC.parent).parent.parts
+    base = '.'.join(package[:len(package) - node.level + 1])
+    if node.module:
+        return [f'{base}.{node.module}']
+    return [f'{base}.{alias.name}' for alias in node.names]
+
+
+def layer_violations(order: dict) -> list:
+    """``file:line: ...`` for each cross-package import that is not downward.
+
+    Function-level imports count too.  The root ``repro/__init__.py`` and
+    the ``__main__.py`` command-line entry points sit above every layer.
+    """
+    found = []
+    for path in sorted(SRC.rglob('*.py')):
+        rel = path.relative_to(SRC)
+        if len(rel.parts) == 1 or path.name == '__main__.py':
+            continue
+        package = rel.parts[0]
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            for module in imported_modules(path, node):
+                parts = module.split('.')
+                if parts[0] != 'repro' or parts[1:2] == [package]:
+                    continue
+                target = parts[1] if len(parts) > 1 else 'repro'
+                if order.get(target, len(order)) >= order[package]:
+                    found.append(f'repro/{rel.as_posix()}:{node.lineno}: '
+                                 f'{package} imports {target} ({module}), '
+                                 f'which is not on a lower layer')
+    return found
+
+
+def test_layer_order_names_every_package():
+    packages = sorted(p.name for p in SRC.iterdir()
+                      if (p / '__init__.py').is_file())
+    assert sorted(layer_order()) == packages
+
+
+def test_imports_follow_the_layer_order():
+    found = layer_violations(layer_order())
+    assert not found, 'upward or sideways imports:\n' + '\n'.join(found)
+
+
+# -- packaging ----------------------------------------------------------------
+
+def test_find_packages_ships_every_source_directory():
+    from setuptools import find_packages
+    shipped = set(find_packages(where=str(SRC.parent)))
+    sources = {'.'.join(path.parent.relative_to(SRC.parent).parts)
+               for path in SRC.rglob('*.py')}
+    assert sorted(sources - shipped) == []
+
+
+# -- doc references -----------------------------------------------------------
+
+#: a dotted ``repro.`` name not inside a path or a longer dotted name
+REFERENCE = re.compile(r'(?<![\w./-])repro(?:\.\w+)+')
+
+DOCUMENTED = (sorted(SRC.rglob('*.py')) + sorted((REPO / 'docs').glob('*.md'))
+              + [REPO / 'README.md']
+              + sorted(p for p in (REPO / 'examples').iterdir() if p.is_file()))
+
+
+def resolves(name: str) -> bool:
+    """Whether ``name`` is a module or attribute by import plus getattr."""
+    parts = name.split('.')
+    obj = importlib.import_module(parts[0])
+    for i, part in enumerate(parts[1:], 2):
+        if hasattr(obj, part):
+            obj = getattr(obj, part)
+            continue
+        try:
+            obj = importlib.import_module('.'.join(parts[:i]))
+        except ModuleNotFoundError:
+            return False
+    return True
+
+
+def test_doc_references_resolve():
+    references: dict = {}
+    for path in DOCUMENTED:
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            for match in REFERENCE.finditer(line):
+                references.setdefault(match.group(0),
+                                      f'{path.relative_to(REPO)}:{lineno}')
+    stale = [f'{where}: {name}' for name, where in sorted(references.items())
+             if not resolves(name)]
+    assert references
+    assert not stale, 'unresolved references:\n' + '\n'.join(stale)

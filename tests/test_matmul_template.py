@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.backend.interpreter import run_kernel
-from repro.core.schedule import MatmulSchedule
 from repro.core.tuning import MatmulTuner
 from repro.gpusim.device import RTX3090
 from repro.gpusim.stats import OVERLAP_DOUBLE_BUFFER, OVERLAP_NONE
 from repro.sched.matmul_template import build_matmul_module, matmul_stats, matmul_task
+from repro.sched.schedule import MatmulSchedule
 from repro.tune.features import featurize
 
 SMALL = MatmulSchedule(block_warps=(1, 1), warp_outer=(1, 1), thread_layout=(4, 8),

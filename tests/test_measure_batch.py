@@ -17,9 +17,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.models
-from repro.core.schedule import MatmulSchedule
-from repro.core.space import matmul_schedule_space
 from repro.core.tuning import MatmulTuner
 from repro.gpusim.device import A100, LAPTOP_GPU, RTX3090, DeviceSpec
 from repro.gpusim.occupancy import compute_occupancy
@@ -27,8 +24,11 @@ from repro.gpusim.perfmodel import ModelParams, PerfModel
 from repro.gpusim.stats import (KernelStats, LaunchStats,
                                 OVERLAP_DOUBLE_BUFFER, OVERLAP_NONE)
 from repro.graph.passes import fold_constants, lower_conv_to_gemm
+import repro.models
 from repro.sched.matmul_template import (ScheduleColumns, matmul_stats,
                                          matmul_stats_batch)
+from repro.sched.schedule import MatmulSchedule
+from repro.sched.space import matmul_schedule_space
 
 DEVICES = (RTX3090, A100, LAPTOP_GPU)
 

@@ -4,7 +4,6 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.taskmap import repeat, spatial
 from repro.ir import (BarrierStmt, BufferStoreStmt, Constant, FunctionBuilder,
                       IfStmt, SeqStmt, f32, tensor_var, thread_idx, var)
 from repro.ir.functor import collect
@@ -12,6 +11,7 @@ from repro.ir.passes import (IRVerificationError, lower_task_mappings, simplify,
                              verify_function)
 from repro.ir.passes.simplify import Simplifier, const_int
 from repro.ir.stmt import AssignStmt, DeclareStmt, ForStmt, ForTaskStmt
+from repro.ir.taskmap import repeat, spatial
 
 
 def _lowered_store_tasks(mapping, workers):

@@ -27,7 +27,7 @@ def layers():
 
 def test_hooks_install_record_and_restore(layers):
     import repro.sched.matmul_template as matmul_template
-    from repro.core.schedule import MatmulSchedule
+    from repro.sched.schedule import MatmulSchedule
     from repro.core.tuning import MatmulTuner
     from repro.gpusim.perfmodel import PerfModel
 
@@ -80,3 +80,25 @@ def test_graph_rewrite_walk_runs_under_a_graph_passes_span(layers, monkeypatch):
         patches.restore()
     assert len(built) == 1
     assert 'graph.passes' in [recorder.spans[i][0] for i in built[0]]
+
+
+def test_ir_checked_compile_runs_under_analysis_spans(layers):
+    """The executor looks ``repro.analysis.analyze_module`` up at call time,
+    so the wrapped name sees every module a ``build_ir`` compile analyzes."""
+    from repro.graph import ops, randn, symbol, trace
+    from repro.runtime import HidetExecutor, ScheduleCache
+
+    x = symbol([16, 32], name='x')
+    w = randn([32, 16], seed=0, name='w')
+    graph = trace(ops.softmax(ops.relu(ops.matmul(x, w))))
+    executor = HidetExecutor(cache=ScheduleCache(), build_ir=True)
+    recorder = layers.SpanRecorder()
+    patches = layers.Patches(recorder)
+    try:
+        layers.install(patches)
+        executor.compile(graph)
+    finally:
+        patches.restore()
+    analyzed = [span for span in recorder.spans if span[0] == 'analysis']
+    assert len(analyzed) == len(executor._ir_cache) > 1
+    assert recorder.counts['analysis.kernels'] >= len(analyzed)

@@ -22,10 +22,10 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.space import matmul_schedule_space
 from repro.gpusim.device import RTX3090
 from repro.runtime.cache import (CACHE_FORMAT_VERSION, MeasurementRecord,
                                  ScheduleCache, _log_lines, compact_log)
+from repro.sched.space import matmul_schedule_space
 
 #: small deterministic pool of real schedules to draw entry values from
 SCHEDULES = list(matmul_schedule_space(RTX3090))[:8]

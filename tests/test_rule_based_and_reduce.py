@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from repro.backend.interpreter import run_kernel
-from repro.core.schedule import ReduceSchedule
 from repro.graph import symbol
 from repro.ir import max_expr
 from repro.ir.compute import compute, reduce, tensor_input
@@ -14,6 +13,7 @@ from repro.sched.lower_compute import ComputeLoweringError
 from repro.sched.reduce_template import (build_reduce_module, is_last_axis_reduction,
                                          reduce_stats)
 from repro.sched.rule_based import build_rule_based_module, rule_based_stats
+from repro.sched.schedule import ReduceSchedule
 
 
 def _run_task(module, arrays):

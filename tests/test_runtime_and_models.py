@@ -2,12 +2,12 @@
 import numpy as np
 import pytest
 
-from repro.core.space import matmul_schedule_space
 from repro.graph import from_numpy, ops, symbol, trace
 from repro.models import (bert_base, gpt2, inception_v3, mobilenet_v2, resnet50)
 from repro.models.bert import transformer_encoder_layer
 from repro.models.common import WeightFactory
 from repro.runtime import HidetExecutor, benchmark, optimize
+from repro.sched.space import matmul_schedule_space
 
 RNG = np.random.default_rng(7)
 

@@ -14,16 +14,16 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.schedule import MatmulSchedule, ReduceSchedule, schedule_fields
-from repro.core.space import matmul_schedule_space
 from repro.core.tuning import MatmulTuner
-from repro.graph import from_numpy, ops, symbol, trace
 from repro.gpusim import RTX3090, A100, SimulatedClock
+from repro.graph import from_numpy, ops, symbol, trace
 from repro.models.common import WeightFactory, conv_bn_relu
 from repro.runtime import (HidetExecutor, ScheduleCache, default_schedule_cache,
                            optimize, task_signature)
 from repro.runtime.cache import (CACHE_FORMAT_VERSION, CacheEntry,
                                  _schedule_to_dict)
+from repro.sched.schedule import MatmulSchedule, ReduceSchedule, schedule_fields
+from repro.sched.space import matmul_schedule_space
 
 RNG = np.random.default_rng(11)
 

@@ -7,12 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.schedule import MatmulSchedule
 from repro.graph import ops, symbol, trace
 from repro.models import bert_base
 from repro.models.common import WeightFactory, conv_bn_relu
 from repro.runtime import (CompileReport, HidetExecutor, ScheduleCache,
                            task_family_signature)
+from repro.sched.schedule import MatmulSchedule
 from repro.serve import (BatchingPolicy, DynamicBatcher, ModelRegistry,
                          Request, ServerSimulator, bucket_ladder, bursty_trace,
                          format_serving_report, merge_traces, poisson_trace,

@@ -1,11 +1,11 @@
 """Hardware-centric schedule space and the exhaustive tuner (§4.3)."""
 import pytest
 
-from repro.core.schedule import MatmulSchedule
-from repro.core.space import (matmul_schedule_space, reduce_schedule_space,
-                              split_k_candidates)
 from repro.core.tuning import MatmulTuner
 from repro.gpusim import RTX3090, SimulatedClock
+from repro.sched.schedule import MatmulSchedule
+from repro.sched.space import (matmul_schedule_space, reduce_schedule_space,
+                               split_k_candidates)
 
 
 class TestSpace:

@@ -4,9 +4,9 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.taskmap import (ComposedTaskMapping, CustomTaskMapping,
-                                RepeatTaskMapping, SpatialTaskMapping, auto_map,
-                                column_repeat, column_spatial, repeat, spatial)
+from repro.ir.taskmap import (ComposedTaskMapping, CustomTaskMapping,
+                              RepeatTaskMapping, SpatialTaskMapping, auto_map,
+                              column_repeat, column_spatial, repeat, spatial)
 
 
 class TestBasicMappings:

@@ -20,12 +20,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.space import matmul_schedule_space
 from repro.core.tuning import HIDET_TUNING_COSTS, MatmulTuner
 from repro.gpusim.clock import SimulatedClock
 from repro.gpusim.device import RTX3090
 from repro.runtime import HidetExecutor, ScheduleCache
 from repro.runtime.cache import MeasurementRecord
+from repro.sched.space import matmul_schedule_space
 from repro.serve import (CacheSpec, DeploymentSpec, ModelSpec,
                          SpecValidationError)
 from repro.serve.deployment import BatchingSpec, ReplicaGroupSpec
