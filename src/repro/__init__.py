@@ -14,25 +14,29 @@ Public API highlights:
 * ``repro.runtime``: the end-to-end compile pipeline (``optimize``, also
   re-exported here as ``repro.optimize``).
 * ``repro.serve``: the simulated serving stack (registry, batcher, fleet,
-  lifecycle, and the declarative ``DeploymentSpec``/``Deployment`` API);
-  imported lazily on first attribute access.
+  lifecycle, and the declarative ``DeploymentSpec``/``Deployment`` API).
 * ``repro.baselines``: loop-oriented scheduling, AutoTVM/Ansor-like tuners,
   kernel-library and framework executors used in the paper's evaluation.
+
+``repro.optimize`` and ``repro.serve`` load on first attribute access, so
+``import repro.<package>`` loads that package and the layers below it only.
 """
 __version__ = '0.1.0'
 
+import importlib
+
 from .ir.taskmap import (repeat, spatial, column_repeat, column_spatial, auto_map,
                          TaskMapping)
-from .runtime import optimize
 
 __all__ = ['repeat', 'spatial', 'column_repeat', 'column_spatial', 'auto_map',
            'TaskMapping', 'optimize', 'serve', '__version__']
 
 
 def __getattr__(name):
-    # repro.serve pulls in the whole serving stack; load it on first touch
-    # so `import repro` stays as light as the compiler pipeline alone
+    # the compile pipeline and the serving stack sit on the top layers;
+    # load each on first touch so `import repro.obs` stays as light as obs
+    if name == 'optimize':
+        return importlib.import_module('.runtime', __name__).optimize
     if name == 'serve':
-        import importlib
         return importlib.import_module('.serve', __name__)
     raise AttributeError(f'module {__name__!r} has no attribute {name!r}')

@@ -19,10 +19,10 @@ Three layers, one package:
   :mod:`repro.obs.compare` (runpy must find it unimported to run it as
   ``__main__``); import ``compare`` from that module.
 
-:class:`Telemetry` is the facade the simulators call; it keeps the
-metric and trace views of a run in lockstep.  ``repro.obs`` imports
-nothing from ``repro.serve``/``repro.runtime`` — it sits at the bottom
-of the import graph so every layer above can speak it.
+:class:`Telemetry` is the facade the simulators call; it records each
+event into the trace and samples the few gauges the trace does not hold.
+``repro.obs`` imports nothing from ``repro.serve``/``repro.runtime`` — it
+sits at the bottom of the import graph so every layer above can speak it.
 """
 from .percentiles import is_nan, percentile
 from .metrics import Counter, Gauge, Histogram, Measurement, MetricsRegistry

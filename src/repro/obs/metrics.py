@@ -37,9 +37,9 @@ __all__ = ['Counter', 'Gauge', 'Histogram', 'Measurement', 'MetricsRegistry']
 
 @dataclass(frozen=True)
 class Measurement:
-    """Summary of repeated measurements of one quantity (historically the
-    compile-time profiler's latency summary; now produced by any
-    :class:`Histogram` via :meth:`Histogram.measurement`)."""
+    """Summary of repeated measurements of one quantity: what the
+    compile-time profiler returns, and what any :class:`Histogram`
+    summarizes to through :meth:`Histogram.measurement`."""
 
     mean_ms: float
     std_ms: float
@@ -167,8 +167,8 @@ class MetricsRegistry:
     different kind raises (one name, one meaning).  :meth:`snapshot` folds
     everything into plain dicts (JSON-ready); :meth:`merge` adopts another
     registry's metrics that this one does not have yet — the path by which
-    a run's live-sampled series (queue depth, replica count) join the
-    fold-time derived metrics in one report.
+    a run's sampled gauges (queue depth, replica count) join the fold-time
+    derived metrics in one report.
     """
 
     def __init__(self):

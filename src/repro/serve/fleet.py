@@ -492,7 +492,7 @@ class FleetResult(_DispatchViews):
         re-homing) is subtracted out, so the join bill appears exactly
         once — as ``scale_up_tuning_seconds`` (re-home tuning stays on
         :attr:`rehome_tuning_seconds` here).  ``telemetry`` (the instance
-        the run recorded into) merges its live ``sim.*`` metrics into
+        the run recorded into) merges its ``sim.*`` gauges into
         ``stats.metrics``."""
         if cold_start_seconds is None:
             cold_start_seconds = (self.fleet.total_compile_seconds

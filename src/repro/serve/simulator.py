@@ -226,8 +226,8 @@ class SimulationResult(_DispatchViews):
         ``registry`` contributes compile-side accounting (cache traffic and
         the cold-start tuning bill); ``cold_start_seconds`` overrides the
         latter (e.g. zero for a registry warmed from a persisted cache).
-        ``telemetry`` (the instance the run recorded into) merges its live
-        ``sim.*`` metrics into ``stats.metrics``.
+        ``telemetry`` (the instance the run recorded into) merges its
+        ``sim.*`` gauges into ``stats.metrics``.
         """
         return compute_stats(self, registry, cold_start_seconds, telemetry)
 
@@ -447,7 +447,7 @@ class ServerSimulator:
         arrivals land in ``result.rejected`` instead of completing.
 
         ``telemetry`` (one per run — request ids restart per trace) records
-        the run as spans and live metrics; ``None`` keeps the simulator
+        the run as spans and sampled gauges; ``None`` keeps the simulator
         observation-free.
         """
         engine = DispatchEngine(self.policy, self.batch_overhead)
@@ -775,10 +775,9 @@ class DecodeSimulator(ReplicaEngine):
                 if live.first_token_time is None:
                     live.first_token_time = now
         lane.ledger.emit(emitting, now=now)
-        emitted = len(emitting)
-        self._result.num_decode_tokens += emitted
+        self._result.num_decode_tokens += len(emitting)
         self.telemetry.decode_step(
-            now, lane.index, width=len(lane.active), tokens=emitted,
+            now, lane.index, width=len(lane.active),
             kv_committed_bytes=lane.ledger.committed_bytes)
         done = [live for live in lane.active
                 if live.emitted >= live.request.output_tokens]

@@ -6,15 +6,14 @@ the registry's compile accounting — the same split the runtime keeps
 report can say both "p99 was 6.2 ms" and "the cold-start tuning bill
 amortized to 1.7 s per request over this trace".
 
-The fold is built on :mod:`repro.obs`: every number in a
-:class:`ServeStats` is first recorded into a
-:class:`~repro.obs.metrics.MetricsRegistry` (counters for the request
-channels and cache traffic, one latency :class:`~repro.obs.metrics.Histogram`
-percentiled through the shared :mod:`repro.obs.percentiles` helper) and the
-dataclass fields are read back out of it.  The registry rides along as
-``stats.metrics`` — fold-time metrics are namespaced ``serve.*``, and a
-run's live-sampled ``sim.*`` series (queue depth, replica count) join it
-from the run's telemetry without double-counting either side.
+The fold is built on :mod:`repro.obs`: the latency and occupancy fields
+are read from one :class:`~repro.obs.metrics.Histogram` each (percentiled
+through the shared :mod:`repro.obs.percentiles` helper), and the request
+channels and cache traffic are also written as counters.  That
+:class:`~repro.obs.metrics.MetricsRegistry` rides along as
+``stats.metrics`` — fold-time metrics are namespaced ``serve.*``, and the
+``sim.*`` gauges a run sampled (queue depth, replica count) join it from
+the run's telemetry.
 """
 from __future__ import annotations
 
@@ -112,7 +111,7 @@ class ServeStats:
     #: capacity (always 0 under reserve admission — the ledger invariant)
     kv_overflow_steps: int = 0
     #: the full metrics registry this fold was computed through (``serve.*``
-    #: fold-time metrics plus any merged live ``sim.*`` series); carried
+    #: fold-time metrics plus any merged ``sim.*`` gauges); carried
     #: out-of-band of equality/repr — two runs are "equal" when their
     #: numbers agree, not when their sample series do
     metrics: Optional[MetricsRegistry] = field(default=None, compare=False,
@@ -213,10 +212,9 @@ def compute_stats(result, registry=None,
     :class:`~repro.obs.metrics.MetricsRegistry` (returned as
     ``stats.metrics``): counters for every request channel and cache tier,
     and one latency histogram whose percentiles are the dataclass's
-    latency fields.  The live ``sim.*`` metrics of ``telemetry`` (the
+    latency fields.  The ``sim.*`` gauges of ``telemetry`` (the
     :class:`~repro.obs.Telemetry` the run recorded into) are merged in by
-    name, existing names winning, so live and fold-time views coexist
-    without double-counting.
+    name; the two prefixes never collide.
 
     A run with offered load but **zero completions** (every request
     rejected or lost — e.g. failure injection killing the whole fleet at

@@ -285,7 +285,6 @@ class ReferenceDecodeSimulator(DecodeSimulator):
             if telemetry is not None:
                 telemetry.decode_step(
                     now, lane.index, width=len(lane.active),
-                    tokens=emitted,
                     kv_committed_bytes=lane.ledger.committed_bytes)
             done = [live for live in lane.active
                     if live.emitted >= live.request.output_tokens]

@@ -7,14 +7,20 @@
   in ``__all__``.  A line marked ``# noqa`` is skipped: use it for an import
   kept for its side effect or as a deliberate re-export.
 * Every package imports only packages on a lower layer, in the order the
-  marked block of ``docs/architecture.md`` states once.
+  marked block of ``docs/architecture.md`` states once, and importing it
+  first in a fresh interpreter loads no package above it.  CI runs that
+  check for every package (``python tests/test_hygiene.py <package>``);
+  the suite runs it for ``repro.obs``, the bottom of the serving stack.
 * ``find_packages`` ships every source directory.
 * Every dotted ``repro.…`` name in the sources, docs and examples resolves.
 """
 import ast
 import importlib
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 SRC = REPO / 'src' / 'repro'
@@ -142,6 +148,42 @@ def layer_violations(order: dict) -> list:
     return found
 
 
+#: packages the root ``repro/__init__.py`` loads for its re-export of
+#: ``repro.ir.taskmap``; any ``import repro.<package>`` loads them first
+ROOT_EXPORTS = {'ir'}
+
+
+def loaded_above(package: str, order: dict) -> list:
+    """The loaded ``repro`` packages on a layer above ``package``.
+
+    Meant to run right after ``import repro.<package>`` in a fresh
+    interpreter, as ``python tests/test_hygiene.py <package>`` does.
+    """
+    loaded = {name.split('.')[1] for name in sys.modules
+              if name.startswith('repro.')}
+    return sorted(name for name in loaded - ROOT_EXPORTS
+                  if order.get(name, len(order)) > order[package])
+
+
+def import_first(package: str) -> subprocess.CompletedProcess:
+    """Run ``python tests/test_hygiene.py <package>`` over the checkout's
+    sources."""
+    path = os.pathsep.join(filter(None, [str(SRC.parent),
+                                         os.environ.get('PYTHONPATH')]))
+    return subprocess.run([sys.executable, __file__, package],
+                          capture_output=True, text=True,
+                          env={**os.environ, 'PYTHONPATH': path})
+
+
+def test_obs_imports_without_the_layers_above():
+    proc = import_first('obs')
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    loaded = proc.stdout.split()
+    assert loaded and not [name for name in loaded
+                           if name.split('.')[1] in ('runtime', 'graph',
+                                                     'serve')]
+
+
 def test_layer_order_names_every_package():
     packages = sorted(p.name for p in SRC.iterdir()
                       if (p / '__init__.py').is_file())
@@ -199,3 +241,15 @@ def test_doc_references_resolve():
              if not resolves(name)]
     assert references
     assert not stale, 'unresolved references:\n' + '\n'.join(stale)
+
+
+if __name__ == '__main__':
+    # import one package first, print every repro module that loaded, and
+    # fail if a package above it in the layer order is among them
+    importlib.import_module(f'repro.{sys.argv[1]}')
+    print(' '.join(sorted(name for name in sys.modules
+                          if name.startswith('repro.'))))
+    above = loaded_above(sys.argv[1], layer_order())
+    if above:
+        sys.exit(f'import repro.{sys.argv[1]} loaded packages above it '
+                 f'in docs/architecture.md: {", ".join(above)}')

@@ -3,6 +3,7 @@ metrics registry, Chrome trace export, the BENCH_* trajectory format, and
 the ``python -m repro.obs.compare`` regression gate — plus reconciliation
 of the span ledger against the serving stats fold.
 """
+import inspect
 import json
 import math
 
@@ -168,8 +169,53 @@ def sim_run():
     return trace_, telemetry, stats
 
 
+@pytest.fixture(scope='module')
+def decode_run():
+    """One continuous-batching decode run with telemetry."""
+    from repro.gpusim import DecodeCostModel
+    from repro.serve import DecodePolicy, DecodeSimulator, decode_trace
+    cost = DecodeCostModel(device=RTX3090, seq_length=16,
+                           bucket_latency={1: 1e-4, 4: 1.6e-4},
+                           weights_bytes=1_000_000)
+    trace_ = decode_trace(qps=3000, num_requests=150, seed=2,
+                          prompt_tokens=(2, 8), mean_output_tokens=6.0,
+                          max_output_tokens=24)
+    telemetry = Telemetry()
+    sim = DecodeSimulator(cost, DecodePolicy(max_width=4, max_tokens=24))
+    result = sim.run(trace_, telemetry=telemetry)
+    return telemetry, result.stats(telemetry=telemetry)
+
+
+@pytest.fixture(scope='module')
+def fleet_run():
+    """A two-replica fleet run whose first replica is killed and revived."""
+    fleet = Fleet([RTX3090, RTX3090], placement=LeastLoadedPlacement())
+    fleet.register('cnn', tiny_cnn, max_batch=4)
+    fleet.register('mlp', tiny_mlp, max_batch=4)
+    trace_ = poisson_trace(6000, 400, ['cnn', 'mlp'], seed=3)
+    kill_at = trace_[len(trace_) // 4].arrival
+    sim = FleetSimulator(
+        fleet, BatchingPolicy(max_batch=4, max_wait=1e-3),
+        failures=[FailureEvent(time=kill_at, replica=0,
+                               revive_at=kill_at + 0.05)])
+    telemetry = Telemetry()
+    result = sim.run(trace_, telemetry=telemetry)
+    return trace_, telemetry, result.stats(telemetry=telemetry)
+
+
 def test_telemetry_without_tracer_records_into_a_fresh_one():
     assert isinstance(Telemetry(tracer=None).tracer, Tracer)
+
+
+def test_telemetry_samples_only_gauges(sim_run, decode_run, fleet_run):
+    """Counts, latencies and batch sizes live in the trace and the fold;
+    the live registry keeps only the series neither holds."""
+    assert list(inspect.signature(Telemetry).parameters) == ['tracer']
+    for telemetry in (sim_run[1], decode_run[0], fleet_run[1]):
+        names = telemetry.metrics.names()
+        assert names
+        assert all(isinstance(telemetry.metrics[name], Gauge)
+                   for name in names), names
 
 
 class TestReconciliation:
@@ -183,21 +229,25 @@ class TestReconciliation:
         assert counts['lost'] == stats.num_lost_to_failure
         assert sum(counts[k] for k in TERMINAL_KINDS) == len(trace_)
 
-    def test_live_metrics_agree_with_fold(self, sim_run):
+    def test_span_latencies_agree_with_fold(self, sim_run):
         _, telemetry, stats = sim_run
-        live = telemetry.metrics
-        assert live.counter('sim.requests.completed').value == stats.num_requests
-        lat = live.histogram('sim.request.latency_ms')
-        assert lat.percentile(99) == pytest.approx(stats.latency_p99_ms)
-        assert lat.mean() == pytest.approx(stats.latency_mean_ms)
+        latencies = [(span.terminal_time - span.arrival) * 1e3
+                     for span in telemetry.tracer.request_spans
+                     if span.terminal == 'complete']
+        assert len(latencies) == stats.num_requests
+        assert percentile(latencies, 50) == stats.latency_p50_ms
+        assert percentile(latencies, 99) == stats.latency_p99_ms
+        assert math.isclose(sum(latencies) / len(latencies),
+                            stats.latency_mean_ms, rel_tol=1e-12)
 
     def test_stats_carry_the_merged_registry(self, sim_run):
-        _, _, stats = sim_run
+        _, telemetry, stats = sim_run
         assert stats.metrics is not None
-        assert ('serve.requests.completed' in stats.metrics
-                and 'sim.requests.completed' in stats.metrics)
         assert (stats.metrics.counter('serve.requests.completed').value
                 == stats.num_requests)
+        # the sampled gauges join the fold's registry as the same objects
+        assert (stats.metrics['sim.queue.depth.r0']
+                is telemetry.metrics['sim.queue.depth.r0'])
 
     def test_sim_time_ordering_within_spans(self, sim_run):
         _, telemetry, _ = sim_run
@@ -214,22 +264,6 @@ class TestReconciliation:
 
 
 class TestTokenReconciliation:
-    @pytest.fixture(scope='class')
-    def decode_run(self):
-        """One continuous-batching decode run with telemetry."""
-        from repro.gpusim import DecodeCostModel
-        from repro.serve import DecodePolicy, DecodeSimulator, decode_trace
-        cost = DecodeCostModel(device=RTX3090, seq_length=16,
-                               bucket_latency={1: 1e-4, 4: 1.6e-4},
-                               weights_bytes=1_000_000)
-        trace_ = decode_trace(qps=3000, num_requests=150, seed=2,
-                              prompt_tokens=(2, 8), mean_output_tokens=6.0,
-                              max_output_tokens=24)
-        telemetry = Telemetry()
-        sim = DecodeSimulator(cost, DecodePolicy(max_width=4, max_tokens=24))
-        result = sim.run(trace_, telemetry=telemetry)
-        return telemetry, result.stats(telemetry=telemetry)
-
     def test_span_tokens_match_stats(self, decode_run):
         telemetry, stats = decode_run
         telemetry.tracer.assert_invariants()
@@ -239,12 +273,19 @@ class TestTokenReconciliation:
         assert tokens['complete'] + tokens['lost'] == stats.num_decode_tokens
         assert stats.tokens_per_second > 0
 
-    def test_live_token_counter_agrees_with_fold(self, decode_run):
+    def test_span_token_totals_agree_with_fold(self, decode_run):
         telemetry, stats = decode_run
-        live = telemetry.metrics
-        assert (live.counter('sim.tokens.generated').value
-                == stats.num_decode_tokens)
-        assert (live.counter('sim.decode.steps').value
+        spans = telemetry.tracer.request_spans
+        tokens = telemetry.tracer.token_counts()
+        for kind in TERMINAL_KINDS:
+            assert tokens[kind] == sum(span.tokens_emitted for span in spans
+                                       if span.terminal == kind)
+        assert tokens['complete'] + tokens['lost'] == stats.num_decode_tokens
+        # each decode step samples its lane's width once
+        widths = [name for name in telemetry.metrics.names()
+                  if name.startswith('sim.decode.width.')]
+        assert widths
+        assert (sum(telemetry.metrics[name].num_samples for name in widths)
                 == stats.num_decode_steps)
 
     def test_chrome_export_carries_token_args(self, decode_run):
@@ -260,20 +301,8 @@ class TestTokenReconciliation:
 
 
 class TestFleetTelemetry:
-    def test_kill_revive_run_reconciles_and_traces(self):
-        fleet = Fleet([RTX3090, RTX3090], placement=LeastLoadedPlacement())
-        fleet.register('cnn', tiny_cnn, max_batch=4)
-        fleet.register('mlp', tiny_mlp, max_batch=4)
-        trace_ = poisson_trace(6000, 400, ['cnn', 'mlp'], seed=3)
-        kill_at = trace_[len(trace_) // 4].arrival
-        sim = FleetSimulator(
-            fleet, BatchingPolicy(max_batch=4, max_wait=1e-3),
-            failures=[FailureEvent(time=kill_at, replica=0,
-                                   revive_at=kill_at + 0.05)])
-        telemetry = Telemetry()
-        result = sim.run(trace_, telemetry=telemetry)
-        stats = result.stats(telemetry=telemetry)
-
+    def test_kill_revive_run_reconciles_and_traces(self, fleet_run):
+        trace_, telemetry, stats = fleet_run
         telemetry.tracer.assert_invariants()
         counts = telemetry.tracer.terminal_counts()
         assert counts['open'] == 0
